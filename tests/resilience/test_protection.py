@@ -13,7 +13,7 @@ from repro.resilience.faults import (
     ScheduledFault,
 )
 from repro.resilience.protection import ResilienceController
-from repro.sim.config import SystemConfig
+from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
 
 
 class _FakeCore:
@@ -151,6 +151,20 @@ class TestDramPath:
         assert controller.recovered == 1
         assert controller.unresolved == 0
 
+    def test_double_bit_then_corrected_reread_recovers(self):
+        """A re-read that itself takes a correctable hit still delivers
+        good data: the uncorrectable fault behind the re-read settles as
+        recovered, the new one as corrected."""
+        controller, _ = self._scheduled(2, 1)
+        request = _request()
+        assert controller.on_dram_burst(0, request) is EccOutcome.DETECTED
+        controller.dram_retries.clear()
+        assert controller.on_dram_burst(10, request) is EccOutcome.CORRECTED
+        assert controller.corrected == 1
+        assert controller.recovered == 1
+        assert controller.unresolved == 0
+        assert not controller.busy
+
     def test_reread_cap_fails_the_request(self):
         controller, core = self._scheduled(2, 2, dram_retry_limit=1)
         request = _request(request_id=11)
@@ -201,6 +215,24 @@ class TestEndToEnd:
         controller = system.resilience
         assert quiesced
         assert controller.injected_total > 0
+        assert controller.unresolved == 0
+        assert controller.injected_total == (
+            controller.corrected + controller.recovered + controller.failed_faults
+        )
+
+    def test_corrected_reread_leaves_no_unresolved_fault(self):
+        """A drained run whose only leak was a DETECTED burst whose re-read
+        came back CORRECTED (bluray DDR3@533 GSS+SAGM+STI at 1e-2)."""
+        config = SystemConfig(
+            app="bluray", ddr=DdrGeneration.DDR3, clock_mhz=533,
+            design=NocDesign.GSS_SAGM, sti=True, priority_enabled=True,
+            cycles=25_000, warmup=2_000, seed=12880711122831582355,
+            faults=FaultConfig.uniform(1e-2),
+        )
+        system = build_system(config)
+        system.run()
+        assert system.drain()
+        controller = system.resilience
         assert controller.unresolved == 0
         assert controller.injected_total == (
             controller.corrected + controller.recovered + controller.failed_faults
