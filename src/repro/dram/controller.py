@@ -34,7 +34,6 @@ from .commands import CommandKind, DramCommand
 from .device import SdramDevice
 from .refresh import RefreshTimer
 from .request import MemoryRequest
-from .vectorized import make_gate
 
 
 class PagePolicy(enum.Enum):
@@ -102,9 +101,6 @@ class CommandEngine:
         self.finished: List[FinishedRequest] = []
         self.demand_precharges = 0
         self.tracer = tracer
-        # Optional numpy datapath for the per-bank timing checks (None =
-        # scalar path; see repro.dram.vectorized for the feature flag).
-        self._vector_gate = make_gate(device)
 
     # ------------------------------------------------------------------ #
 
@@ -370,59 +366,30 @@ class CommandEngine:
                 )
             bound = cas_at
         # ACT / PRE: first entry per bank, as the choosers scan.
-        gate = self._vector_gate
-        if gate is not None:
-            # Vector datapath: gather the first-entry-per-bank scan set
-            # (order logic stays scalar), evaluate every per-bank timing
-            # candidate in one array pass.
-            gate.refresh()
-            seen = set()
-            bank_ids: List[int] = []
-            rows: List[int] = []
-            order_blocked: List[bool] = []
-            for index, entry in enumerate(entries):
-                request = entry.request
-                key = request.bank
-                if key in seen:
-                    continue
-                seen.add(key)
-                bank = banks[key]
-                bank_ids.append(key)
-                rows.append(request.row)
-                order_blocked.append(
-                    bank.auto_precharge_at is None
-                    and bank.state is BankState.ACTIVE
-                    and bank.open_row != request.row
-                    and self._older_entry_needs_row(index, key, bank.open_row)
+        seen = set()
+        for index, entry in enumerate(entries):
+            request = entry.request
+            key = request.bank
+            if key in seen:
+                continue
+            seen.add(key)
+            bank = banks[key]
+            if bank.auto_precharge_at is not None:
+                # Bank self-closes at the AP window's end, then an ACT
+                # for this entry's row becomes the pending command.
+                candidate = max(
+                    device._next_act_ok, bank.auto_precharge_at
                 )
-            candidate = gate.min_act_pre_bound(bank_ids, rows, order_blocked)
-            if candidate is not None and (bound is None or candidate < bound):
+            elif bank.state is BankState.ACTIVE:
+                if bank.open_row == request.row:
+                    continue  # row already open: nothing to prepare
+                if self._older_entry_needs_row(index, key, bank.open_row):
+                    continue  # unblocked by retirement, not by time
+                candidate = bank.precharge_ok_at
+            else:
+                candidate = max(device._next_act_ok, bank.idle_at)
+            if bound is None or candidate < bound:
                 bound = candidate
-        else:
-            seen = set()
-            for index, entry in enumerate(entries):
-                request = entry.request
-                key = request.bank
-                if key in seen:
-                    continue
-                seen.add(key)
-                bank = banks[key]
-                if bank.auto_precharge_at is not None:
-                    # Bank self-closes at the AP window's end, then an ACT
-                    # for this entry's row becomes the pending command.
-                    candidate = max(
-                        device._next_act_ok, bank.auto_precharge_at
-                    )
-                elif bank.state is BankState.ACTIVE:
-                    if bank.open_row == request.row:
-                        continue  # row already open: nothing to prepare
-                    if self._older_entry_needs_row(index, key, bank.open_row):
-                        continue  # unblocked by retirement, not by time
-                    candidate = bank.precharge_ok_at
-                else:
-                    candidate = max(device._next_act_ok, bank.idle_at)
-                if bound is None or candidate < bound:
-                    bound = candidate
         if bound is None:
             # Every bank is order-blocked; retirement (an engine activity)
             # unblocks them, so any wake cycle is safe.

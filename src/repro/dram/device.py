@@ -213,8 +213,8 @@ class SdramDevice:
             self.stats.record_idle_cycle(cycle)
 
     def on_cycles_skipped(self, start: int, stop: int) -> None:
-        """Account for fast-forwarded cycles ``[start, stop)`` the device
-        was never ticked for (idle by definition)."""
+        """Account for cycles ``[start, stop)`` the device was never
+        ticked for (idle by definition)."""
         if self.stats is not None:
             self.stats.record_idle_cycles(start, stop)
 

@@ -278,7 +278,7 @@ def write_trajectory(
             "estimator": "min over measured reps",
         },
         # Who measured: calibration scaling absorbs speed differences,
-        # but python/numpy/host changes shift the *shape* of the work —
+        # but python/host changes shift the *shape* of the work —
         # host_mismatch() flags those when comparing trajectories.
         "host": host_manifest(),
         "current": current,
@@ -317,10 +317,9 @@ def _speedups(
 
 
 #: Host-manifest fields whose change makes raw trajectory comparison
-#: suspect even after calibration scaling (numpy toggles vectorized
-#: paths on/off; interpreter and host shift the bytecode-vs-simulation
-#: cost mix).
-_HOST_COMPARE_FIELDS = ("python", "implementation", "numpy", "hostname")
+#: suspect even after calibration scaling (interpreter and host shift the
+#: bytecode-vs-simulation cost mix).
+_HOST_COMPARE_FIELDS = ("python", "implementation", "hostname")
 
 
 def host_mismatch(

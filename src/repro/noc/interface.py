@@ -73,12 +73,6 @@ class _Reassembly:
 class CoreInterface:
     """Master-side NI for one core node."""
 
-    #: Simulator dispatch hint: tick() gates every phase on cheap state
-    #: checks itself, so a separate per-cycle is_idle probe would cost
-    #: about as much as the tick it skips.  Fast-forward still consults
-    #: is_idle()/wake_at().
-    step_self_gating = True
-
     def __init__(
         self,
         node: int,
@@ -125,7 +119,8 @@ class CoreInterface:
     @generator.setter
     def generator(self, generator: TrafficGenerator) -> None:
         # Trace capture/replay swap generators after construction, so the
-        # idle-skip schedulability flag follows every assignment.
+        # schedulability flag tick() and event_wake_at() read follows
+        # every assignment.
         self._generator = generator
         self._generator_schedulable = hasattr(generator, "next_issue_cycle")
 
@@ -144,30 +139,6 @@ class CoreInterface:
                 self._generate(cycle)
         if self._pending:
             self._inject(cycle)
-
-    # ------------------------------------------------------------------ #
-    # Simulator idle-skip contract
-    # ------------------------------------------------------------------ #
-
-    def is_idle(self, cycle: int) -> bool:
-        """True iff ticking now would do nothing: nothing queued for
-        injection, no outstanding responses, an empty sink, and a
-        generator that is provably quiet this cycle (its ``generate``
-        early-returns before drawing any randomness, so skipping keeps the
-        RNG stream bit-identical)."""
-        if self._pending or self._reassembly or self.sink.entries:
-            return False
-        if self.draining:
-            return True
-        if not self._generator_schedulable:
-            return False
-        next_issue = self.generator.next_issue_cycle
-        return next_issue is None or cycle < next_issue
-
-    def wake_at(self) -> Optional[int]:
-        if self.draining or not self._generator_schedulable:
-            return None
-        return self.generator.next_issue_cycle
 
     # ------------------------------------------------------------------ #
     # Event-dispatch contract
@@ -390,7 +361,7 @@ class MemoryInterface:
         self._wake = None
 
     def tick(self, cycle: int) -> None:
-        if self.is_idle(cycle):
+        if self._quiet(cycle):
             # Quiet fast path: with nothing buffered anywhere and no
             # refresh due, the full pipeline below reduces to the SDRAM
             # device's per-cycle observed-cycle accounting.
@@ -506,11 +477,7 @@ class MemoryInterface:
             and not self._ready
         )
 
-    # ------------------------------------------------------------------ #
-    # Simulator idle-skip contract
-    # ------------------------------------------------------------------ #
-
-    def is_idle(self, cycle: int) -> bool:
+    def _quiet(self, cycle: int) -> bool:
         """True iff a tick would only perform the device's per-cycle
         accounting: nothing buffered at any stage, no ECC retries queued,
         and no refresh due or in flight."""
@@ -528,20 +495,14 @@ class MemoryInterface:
             return False
         return True
 
-    def wake_at(self) -> Optional[int]:
-        refresh = self.subsystem.refresh
-        if refresh is not None and refresh.enabled:
-            return refresh.next_due_cycle
-        return None
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        """Fast-forwarded cycles still elapse for the SDRAM utilization
-        denominator (the per-cycle accounting the skipped ticks carry)."""
-        self.subsystem.on_cycles_skipped(start, stop)
-
     # ------------------------------------------------------------------ #
     # Event-dispatch contract
     # ------------------------------------------------------------------ #
+
+    def on_cycles_skipped(self, start: int, stop: int) -> None:
+        """Un-ticked cycles still elapse for the SDRAM utilization
+        denominator (the per-cycle accounting the skipped ticks carry)."""
+        self.subsystem.on_cycles_skipped(start, stop)
 
     def attach_wake(self, wake) -> None:
         self._wake = wake

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
+from ..sim.stats import nearest_rank
+
 
 class Counter:
     """Monotonically increasing count."""
@@ -81,9 +83,7 @@ class Histogram:
             raise ValueError("percentile must be within [0, 100]")
         if not self.samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1)))
-        return float(ordered[index])
+        return nearest_rank(sorted(self.samples), q)
 
 
 Metric = Union[Counter, Gauge, Histogram]

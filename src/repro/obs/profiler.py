@@ -8,17 +8,16 @@ into :meth:`repro.sim.engine.Simulator.attach_profiler` and times every
 behavioral tracing tells you where packets wait, this tells you where the
 *simulator* waits.
 
-The profiled path replaces the engine's plain dispatch loop, so the
-unprofiled hot loop stays untouched (zero overhead when detached).
+The engine calls :meth:`SimulatorProfiler.timed_tick` in place of each
+plain tick call, so the unprofiled hot loop stays untouched (zero
+overhead when detached) and a profiled run executes exactly the ticks an
+unprofiled one does.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Sequence, Tuple
-
-#: Label used for the simulator's end-of-cycle hook callbacks.
-HOOKS_LABEL = "on_cycle hooks"
+from typing import Callable, Dict, List, Tuple
 
 
 class SimulatorProfiler:
@@ -37,43 +36,13 @@ class SimulatorProfiler:
         self.cycles_profiled = 0
 
     # ------------------------------------------------------------------ #
-    # Engine-facing: called instead of the plain dispatch loop
+    # Engine-facing: called instead of each plain tick
     # ------------------------------------------------------------------ #
-
-    def step(
-        self,
-        components: Sequence,
-        hooks: Sequence[Callable[[int], None]],
-        cycle: int,
-    ) -> None:
-        """Tick every component and hook for ``cycle``, timing each call."""
-        window = self._window_totals
-        totals = self.totals
-        calls = self.calls
-        for component in components:
-            label = type(component).__name__
-            start = perf_counter()
-            component.tick(cycle)
-            elapsed = perf_counter() - start
-            totals[label] = totals.get(label, 0.0) + elapsed
-            calls[label] = calls.get(label, 0) + 1
-            window[label] = window.get(label, 0.0) + elapsed
-        if hooks:
-            start = perf_counter()
-            for hook in hooks:
-                hook(cycle)
-            elapsed = perf_counter() - start
-            totals[HOOKS_LABEL] = totals.get(HOOKS_LABEL, 0.0) + elapsed
-            calls[HOOKS_LABEL] = calls.get(HOOKS_LABEL, 0) + 1
-            window[HOOKS_LABEL] = window.get(HOOKS_LABEL, 0.0) + elapsed
-        self.cycles_profiled += 1
-        if self.cycles_profiled % self.window_cycles == 0:
-            self._roll_window(cycle + 1)
 
     def timed_tick(
         self, label: str, tick: Callable[[int], None], cycle: int
     ) -> None:
-        """Run and time one ``tick`` under event dispatch.
+        """Run and time one ``tick``.
 
         Event dispatch only runs the components actually due a cycle, so
         attribution covers exactly the work performed: skipped components
@@ -88,7 +57,7 @@ class SimulatorProfiler:
         window[label] = window.get(label, 0.0) + elapsed
 
     def end_cycle(self, cycle: int) -> None:
-        """Close one *processed* cycle of event dispatch (jumped cycles do
+        """Close one *processed* cycle (cycles the event kernel jumped do
         not count: no work ran in them)."""
         self.cycles_profiled += 1
         if self.cycles_profiled % self.window_cycles == 0:

@@ -7,8 +7,8 @@ has a ``type`` and a wall-clock ``ts``:
 
 * ``run_start`` — manifest for one simulation: fully-resolved config
   payload and its content-addressed hash (the sweep-store key), seed,
-  sampling interval, and the host manifest (python, numpy, cpu count,
-  git describe);
+  sampling interval, and the host manifest (python, cpu count, git
+  describe);
 * ``sample`` — one :class:`~repro.obs.timeseries.Sample`, as emitted by
   the interval sampler (coalesced gap samples included);
 * ``run_end`` — end-of-run summary (the headline RunMetrics fields);
@@ -213,8 +213,6 @@ def git_describe() -> Optional[str]:
 def host_manifest() -> Dict[str, object]:
     """Who/what produced a measurement: the fields trajectory and
     telemetry comparisons need to flag cross-host mixing."""
-    import importlib.util
-
     try:
         hostname = socket.gethostname()
     except OSError:  # pragma: no cover - esoteric hosts
@@ -225,7 +223,6 @@ def host_manifest() -> Dict[str, object]:
         "platform": platform.platform(),
         "hostname": hostname,
         "cpu_count": os.cpu_count(),
-        "numpy": importlib.util.find_spec("numpy") is not None,
         "git": git_describe(),
         "pid": os.getpid(),
     }

@@ -13,12 +13,8 @@ The sampler is an ordinary simulator component speaking the *event*
 dispatch contract (see :mod:`repro.sim.engine`):
 
 * it arms the calendar wake-queue for each window boundary via
-  ``event_wake_at``, so an all-event system **stays on the event tier**
-  (``last_dispatch_mode == "event"``) — sampling never drops a run to
-  per-cycle stepping;
-* under the stepped tier it exposes ``is_idle``/``wake_at``, so global
-  fast-forward still engages — a jump simply lands on the next window
-  boundary;
+  ``event_wake_at``, so the kernel still jumps idle gaps — a jump simply
+  lands on the next window boundary;
 * gaps that overshoot boundaries anyway (run-exit flushes, ``until``
   predicates, bulk skip accounting) are reported through
   ``on_cycles_skipped`` and emit one **coalesced** sample covering every
@@ -36,6 +32,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+from ..sim.stats import nearest_rank
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,8 @@ class RingBuffer:
 def window_percentiles(values: Sequence[float]) -> Dict[str, float]:
     """p50/p95/p99 of one window's latency samples (nearest-rank)."""
     ordered = sorted(values)
-    n = len(ordered)
-    out: Dict[str, float] = {}
-    for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-        index = min(n - 1, round(q / 100 * (n - 1)))
-        out[name] = float(ordered[index])
-    return out
+    return {name: nearest_rank(ordered, q)
+            for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))}
 
 
 class SampleSource:
@@ -265,7 +259,7 @@ class TimeSeriesSampler:
         self._clock = time.perf_counter
 
     # ------------------------------------------------------------------ #
-    # Simulator contracts (event + stepped tiers)
+    # Simulator event contract
     # ------------------------------------------------------------------ #
 
     def tick(self, cycle: int) -> None:
@@ -274,12 +268,6 @@ class TimeSeriesSampler:
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
         return self._next if self._next > cycle else cycle + 1
-
-    def is_idle(self, cycle: int) -> bool:
-        return cycle < self._next
-
-    def wake_at(self) -> Optional[int]:
-        return self._next
 
     def on_cycles_skipped(self, start: int, stop: int) -> None:
         """Account a never-ticked gap ``[start, stop)``: any window

@@ -1,7 +1,8 @@
 """Live structural invariants, checked while the system runs.
 
-The :class:`InvariantChecker` is a simulator ``on_cycle`` hook that
-audits the end-of-cycle state of the whole fabric:
+The :class:`InvariantChecker` is a simulator component, registered after
+the fabric, that audits the end-of-cycle state of the whole fabric every
+``interval`` cycles:
 
 * **credit conservation** — every input buffer's flit occupancy is
   within its capacity and every entry's ``sent``/``received`` counters
@@ -64,12 +65,17 @@ class InvariantChecker:
         self.checks_run = 0
 
     def attach(self, simulator) -> None:
-        simulator.on_cycle(self.on_cycle)
+        """Register on ``simulator``; call after the fabric is registered,
+        so each audit sees the state every component left that cycle."""
+        simulator.add(self)
 
-    def on_cycle(self, cycle: int) -> None:
-        if cycle % self.interval != 0:
-            return
-        self.check(cycle)
+    def tick(self, cycle: int) -> None:
+        if cycle % self.interval == 0:
+            self.check(cycle)
+
+    def event_wake_at(self, cycle: int) -> int:
+        """Self-arm for the next multiple of ``interval``."""
+        return cycle + self.interval - cycle % self.interval
 
     # ------------------------------------------------------------------ #
 

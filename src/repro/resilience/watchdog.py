@@ -54,19 +54,6 @@ class RequestWatchdog:
         state["on_hang"] = None
         return state
 
-    def is_idle(self, cycle: int) -> bool:
-        """No-op cycles: off the scan stride, or nothing outstanding to
-        judge.  Purely reactive — while any request *is* outstanding its
-        core NI reports non-idle, so fast-forward never jumps a deadline."""
-        if cycle % CHECK_INTERVAL != 0:
-            return True
-        return not any(
-            interface._reassembly for interface in self.core_interfaces
-        )
-
-    def wake_at(self) -> None:
-        return None
-
     def event_wake_at(self, cycle: int) -> int:
         """Self-arm every scan stride: under event dispatch a core NI can
         sleep with reassembly outstanding (it is only woken by events), so

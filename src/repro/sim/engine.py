@@ -6,50 +6,28 @@ implement the :class:`Clocked` protocol and are registered with a
 :class:`Simulator` in pipeline order (producers before consumers), which keeps
 single-cycle forwarding deterministic without a two-phase commit.
 
-Dispatch tiers
+Dispatch
+--------
+
+:meth:`Simulator.run` has one dispatch path, driven by a calendar
+wake-queue: each component *arms* the queue with the next cycle it needs
+to run, reactive components are woken by their upstream producers through
+wake handles, and cycles on which nothing is armed are jumped over in one
+step.  A component that only implements ``tick`` is re-armed every cycle.
+
+``Simulator(idle_skip=False)`` is the naive golden oracle: every
+component ticks every cycle through :meth:`Simulator.step`, the one-cycle
+body that is also the manual single-step entry point.  The golden suites
+compare event dispatch against it.
+
+Event contract
 --------------
-
-The kernel picks the cheapest dispatch strategy the registered components
-support, in order:
-
-1. **Event dispatch** — when *every* component implements the event
-   contract (below), components are not polled at all: each one *arms* the
-   calendar wake-queue with the next cycle it needs to run, and reactive
-   components are woken by their upstream producers through wake handles.
-   Cycles on which nothing is armed are jumped over in one step.
-2. **Idle-skip stepping** — the legacy contract: every cycle, every
-   component is either ticked or skipped via a cheap ``is_idle`` probe,
-   and whole-system idle gaps fast-forward to the earliest ``wake_at``.
-   Any registered component without the event contract drops the whole
-   simulator to this tier (the documented escape hatch: a component only
-   needs ``tick`` to participate, it just costs per-cycle dispatch).
-3. **Naive stepping** (``idle_skip=False``) — tick everything every cycle.
-   This is the bit-exact reference the golden-identity suite compares the
-   other tiers against.
-
-Idle-skip contract (legacy / tier 2)
-------------------------------------
-
-* ``is_idle(cycle) -> bool`` — ``True`` iff ``tick(cycle)`` would be a
-  provable no-op *and* the component stays a no-op every subsequent cycle
-  until either an external input arrives (another component's tick) or its
-  own ``wake_at()`` cycle is reached.  The simulator then skips the tick.
-* ``wake_at() -> Optional[int]`` — earliest future cycle at which the
-  component could become non-idle *on its own*.  ``None`` means purely
-  reactive: only another component can wake it.
-* ``on_cycles_skipped(start, stop) -> None`` (optional) — account for the
-  half-open cycle range ``[start, stop)`` the component was never ticked
-  for (per-cycle bookkeeping such as the SDRAM observed-cycle counter).
-
-Event contract (tier 1)
------------------------
 
 * ``event_wake_at(cycle) -> Optional[int]`` — called right after every
   ``tick(cycle)``; returns the next cycle this component needs to tick
   *absent any external input* (``None`` = purely reactive until woken).
-  Unlike ``wake_at`` this is consulted while the component is busy, so it
-  can express fine-grained stalls ("nothing until the DRAM bus frees at
-  cycle N").  Returning a cycle ``<= cycle`` re-arms for ``cycle + 1``.
+  It can express fine-grained stalls ("nothing until the DRAM bus frees
+  at cycle N").  Returning a cycle ``<= cycle`` re-arms for ``cycle + 1``.
 * ``attach_wake(wake)`` (optional) — receives a wake handle the component
   (or its producers) may call whenever its inputs change:
   ``wake()`` arms the component as soon as the registration order allows —
@@ -63,28 +41,31 @@ Event contract (tier 1)
   tick that naive stepping would have run as a state-gated no-op, so
   extra wakes are always bit-identical.  Only a *missed* wake can diverge
   — which is what the golden-identity and property suites hunt.
+* ``on_cycles_skipped(start, stop)`` (optional) — account for the
+  half-open cycle range ``[start, stop)`` the component was never ticked
+  for (per-cycle bookkeeping such as the SDRAM observed-cycle counter).
+  The kernel bulk-accounts each component's un-ticked gaps lazily (before
+  its next tick and at run exit), so per-cycle denominators stay exact
+  even when other components keep the cycle busy.
 * ``on_run_mode(event_dispatch)`` (optional) — notified at every
   :meth:`Simulator.run` entry whether event dispatch is active, so
   components can enable internal event-only shortcuts (e.g. router sleep
-  states) only when the reference kernels are not in use.
+  states) only when the oracle is not in use.
 * ``on_run_start(cycle)`` / ``on_run_end(cycle)`` (optional) — run
   brackets: called at every :meth:`Simulator.run` entry and exit (exit
   fires even when the run raises).  This is how observation components —
   the telemetry sampler above all — flush partial state at run
-  boundaries without the system layer having to know about them: the
-  sampler is just another registered component, armed on the wake queue
-  like everything else.
+  boundaries without the system layer having to know about them.
 
-Skip accounting works on both tiers: under event dispatch the kernel
-bulk-accounts each component's un-ticked gaps lazily (before its next tick
-and at run exit), so per-cycle denominators stay exact even when other
-components keep the cycle busy.
+End-of-cycle observers (the invariant checker, the sampler) are ordinary
+components registered after the fabric: whatever cycle they arm, they
+run after every earlier-registered component has finished that cycle.
 
 Serialization
 -------------
 
 A :class:`Simulator` pickles as its registered components plus the clock
-and telemetry flags — none of the derived dispatch state (parallel tick
+and telemetry counters — none of the derived dispatch state (parallel tick
 lists, calendar heap, armed deadlines, wake closures) is serialized.
 That state is only meaningful *between* ``run()`` calls, where it is
 redundant by construction: ``_event_run`` re-arms every component at run
@@ -96,29 +77,21 @@ components lazily on first use (:meth:`Simulator._rebind`), which also
 re-issues every ``attach_wake`` handle.  Wake handles themselves are
 process-local closures and are never serialized: components that store
 one drop it in ``__getstate__`` (identified via :func:`is_engine_wake`).
-
-Fast-forward inhibition
------------------------
-
-``on_cycle`` hooks observe individual cycles, so any hook forces tier 2/3
-stepping with fast-forward disabled.  A profiler forces tier-2 stepping
-only on legacy systems; on all-event systems it rides event dispatch and
-attributes exactly the ticks that actually ran.  Both cases are surfaced
-through the ``fast_forward_inhibited`` telemetry flag and a one-shot
-logged warning instead of silently degrading.
 """
 
 from __future__ import annotations
 
-import logging
 from bisect import insort
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
-logger = logging.getLogger(__name__)
-
 #: Sentinel wake cycle for "not armed" (far past any simulated horizon).
 _NEVER = 1 << 62
+
+
+def _next_cycle(cycle: int) -> int:
+    """``event_wake_at`` of a component that only implements ``tick``."""
+    return cycle + 1
 
 
 def is_engine_wake(hook) -> bool:
@@ -157,34 +130,18 @@ class Simulator:
     def __init__(self, idle_skip: bool = True) -> None:
         self._components: List[Clocked] = []
         self._cycle = 0
-        self._hooks: List[Callable[[int], None]] = []
         self._profiler = None
+        #: False selects the naive oracle (tick everything every cycle).
         self.idle_skip = idle_skip
-        # Parallel to _components: bound fast-path methods, or None when a
-        # component does not implement the corresponding contract method.
+        # Parallel to _components: bound tick, next-wake query, and skip
+        # accounting (None when the component keeps no per-cycle state).
         self._ticks: List[Callable[[int], None]] = []
-        self._idle_checks: List[Optional[Callable[[int], bool]]] = []
+        self._event_wakes: List[Callable[[int], Optional[int]]] = []
         self._skip_accounts: List[Optional[Callable[[int, int], None]]] = []
-        # Legacy wake sources, compacted at registration: only components
-        # that actually implement wake_at are scanned on a fast-forward
-        # attempt (most components are purely reactive), instead of the
-        # old O(N)-over-everything probe.
-        self._wake_sources: List[Callable[[], Optional[int]]] = []
-        # Per-cycle skip predicates: like _idle_checks, but None for
-        # components with on_cycles_skipped — those keep per-cycle state
-        # (e.g. observed-cycle counters) that only bulk fast-forward
-        # accounting may elide, so step() must always tick them.
-        self._step_idle_checks: List[Optional[Callable[[int], bool]]] = []
-        # (check, tick) pairs, so the per-cycle dispatch loop iterates one
-        # list without indexing into the parallel ones.
-        self._step_pairs: List = []
-        # --- event-dispatch state ---------------------------------------
-        self._event_wakes: List[Optional[Callable[[int], Optional[int]]]] = []
         self._labels: List[str] = []
         self._mode_hooks: List[Callable[[bool], None]] = []
         self._run_starts: List[Callable[[int], None]] = []
         self._run_ends: List[Callable[[int], None]] = []
-        self._all_event = True
         #: Armed wake cycle per component (_NEVER = not armed); the heap
         #: holds (cycle, index) entries validated lazily against it.
         self._armed: List[int] = []
@@ -196,20 +153,14 @@ class Simulator:
         #: Indices due in the cycle currently being processed (sorted);
         #: wake handles insort into it past the processing position.
         self._ready: List[int] = []
-        #: Next cycle still unaccounted per component (skip accounting).
-        self._accounted: List[int] = []
         self._now = -1        # cycle being processed (-1 = between cycles)
         self._progress = -1   # index being processed within _now
         self._event_live = False
-        #: Cycles elided by fast-forward or event-queue jumps (telemetry;
-        #: counted in ``cycle``).
+        #: Cycles elided by event-queue jumps (telemetry; counted in
+        #: ``cycle``).
         self.fast_forwarded_cycles = 0
-        #: True once a run had to disable fast-forward (hooks attached, or
-        #: a profiler on a non-event system) — see the one-shot warning.
-        self.fast_forward_inhibited = False
-        self._warned_inhibited = False
-        #: Dispatch tier of the most recent run(): "event", "stepped",
-        #: "naive" (introspection for tests and reports).
+        #: Dispatch of the most recent run(): "event" or "naive"
+        #: (introspection for tests and reports).
         self.last_dispatch_mode: Optional[str] = None
         #: Components restored from a pickle but not yet re-registered
         #: (see __setstate__/_rebind); None once dispatch state is live.
@@ -234,50 +185,23 @@ class Simulator:
         self._components.append(component)
         self._ticks.append(tick)
         self._labels.append(type(component).__name__)
-        is_idle = getattr(component, "is_idle", None)
-        if not callable(is_idle):
-            is_idle = None
-        self._idle_checks.append(is_idle)
-        wake_at = getattr(component, "wake_at", None)
-        if callable(wake_at):
-            self._wake_sources.append(wake_at)
-        skipped = getattr(component, "on_cycles_skipped", None)
-        if not callable(skipped):
-            skipped = None
-        self._skip_accounts.append(skipped)
-        # Components with bulk skip accounting must be ticked every
-        # stepped cycle; self-gating components ask to be ticked directly
-        # because their tick() is already a cheap no-op when idle, making
-        # a separate per-cycle idle probe pure overhead.  Both still
-        # participate in fast-forward via is_idle/wake_at.
-        if skipped is not None or getattr(component, "step_self_gating", False):
-            step_check = None
-        else:
-            step_check = is_idle
-        self._step_idle_checks.append(step_check)
-        self._step_pairs.append((step_check, tick))
-        # Event contract: event_wake_at makes the component event-capable;
-        # one legacy component in the system drops every run to stepping.
         event_wake = getattr(component, "event_wake_at", None)
-        if not callable(event_wake):
-            event_wake = None
-            self._all_event = False
-        self._event_wakes.append(event_wake)
+        self._event_wakes.append(
+            event_wake if callable(event_wake) else _next_cycle
+        )
+        skipped = getattr(component, "on_cycles_skipped", None)
+        self._skip_accounts.append(skipped if callable(skipped) else None)
         self._armed.append(_NEVER)
         self._queued.append(0)
-        self._accounted.append(self._cycle)
         attach = getattr(component, "attach_wake", None)
         if callable(attach):
             attach(self._make_wake(index))
-        mode_hook = getattr(component, "on_run_mode", None)
-        if callable(mode_hook):
-            self._mode_hooks.append(mode_hook)
-        run_start = getattr(component, "on_run_start", None)
-        if callable(run_start):
-            self._run_starts.append(run_start)
-        run_end = getattr(component, "on_run_end", None)
-        if callable(run_end):
-            self._run_ends.append(run_end)
+        for name, hooks in (("on_run_mode", self._mode_hooks),
+                            ("on_run_start", self._run_starts),
+                            ("on_run_end", self._run_ends)):
+            hook = getattr(component, name, None)
+            if callable(hook):
+                hooks.append(hook)
         return component
 
     def add_all(self, components) -> None:
@@ -285,14 +209,11 @@ class Simulator:
         for component in components:
             self.add(component)
 
-    def on_cycle(self, hook: Callable[[int], None]) -> None:
-        """Call ``hook(cycle)`` at the end of every simulated cycle."""
-        self._hooks.append(hook)
-
     def attach_profiler(self, profiler) -> None:
-        """Route every subsequent cycle through the profiler (see
+        """Time every subsequent tick through the profiler's
+        ``timed_tick``/``end_cycle`` (see
         :class:`repro.obs.profiler.SimulatorProfiler`); ``None`` detaches.
-        The unprofiled dispatch loops are untouched when detached."""
+        Attaching never changes which ticks run."""
         self._profiler = profiler
 
     @property
@@ -309,7 +230,7 @@ class Simulator:
         ``wake()`` — arm as early as ordering allows (see module docs);
         ``wake(at)`` — arm at the future cycle ``at``.
         Handles are inert (cheap early return) outside event dispatch, so
-        producer-side hook calls cost one branch on the reference kernels.
+        producer-side hook calls cost one branch under the naive oracle.
         """
 
         def wake(at: Optional[int] = None) -> None:
@@ -350,11 +271,8 @@ class Simulator:
         return {
             "components": self._components,
             "cycle": self._cycle,
-            "hooks": self._hooks,
             "idle_skip": self.idle_skip,
             "fast_forwarded_cycles": self.fast_forwarded_cycles,
-            "fast_forward_inhibited": self.fast_forward_inhibited,
-            "warned_inhibited": self._warned_inhibited,
             "last_dispatch_mode": self.last_dispatch_mode,
         }
 
@@ -367,10 +285,7 @@ class Simulator:
         # guaranteed complete.
         self.__init__(idle_skip=state["idle_skip"])
         self._cycle = state["cycle"]
-        self._hooks = state["hooks"]
         self.fast_forwarded_cycles = state["fast_forwarded_cycles"]
-        self.fast_forward_inhibited = state["fast_forward_inhibited"]
-        self._warned_inhibited = state["warned_inhibited"]
         self.last_dispatch_mode = state["last_dispatch_mode"]
         self._pending_rebind = state["components"]
 
@@ -383,75 +298,28 @@ class Simulator:
             self.add_all(components)
 
     # ------------------------------------------------------------------ #
-    # Per-cycle stepping (tiers 2/3; also the manual step() entry point)
+    # The naive oracle (also the manual single-step entry point)
     # ------------------------------------------------------------------ #
 
     def step(self) -> int:
-        """Advance the system by exactly one cycle; return the new cycle count."""
+        """Advance exactly one cycle, ticking every component in
+        registration order; return the new cycle count."""
         if self._pending_rebind is not None:
             self._rebind()
         cycle = self._cycle
-        if self._profiler is None:
-            if self.idle_skip:
-                for check, tick in self._step_pairs:
-                    if check is not None and check(cycle):
-                        continue
-                    tick(cycle)
-            else:
-                for tick in self._ticks:
-                    tick(cycle)
-            for hook in self._hooks:
-                hook(cycle)
+        profiler = self._profiler
+        if profiler is None:
+            for tick in self._ticks:
+                tick(cycle)
         else:
-            self._profiler.step(self._components, self._hooks, cycle)
+            for label, tick in zip(self._labels, self._ticks):
+                profiler.timed_tick(label, tick, cycle)
+            profiler.end_cycle(cycle)
         self._cycle = cycle + 1
         return self._cycle
 
     # ------------------------------------------------------------------ #
-    # Legacy fast-forward support
-    # ------------------------------------------------------------------ #
-
-    def _all_idle(self, cycle: int) -> bool:
-        """Every component implements and reports the idle contract."""
-        for check in self._idle_checks:
-            if check is None or not check(cycle):
-                return False
-        return True
-
-    def _next_wake(self) -> Optional[int]:
-        """Earliest self-wake cycle across the components that declare one
-        (``_wake_sources`` is compacted at registration, so purely
-        reactive components cost nothing here)."""
-        earliest: Optional[int] = None
-        for wake in self._wake_sources:
-            candidate = wake()
-            if candidate is None:
-                continue
-            if earliest is None or candidate < earliest:
-                earliest = candidate
-        return earliest
-
-    def _fast_forward(self, end: int) -> bool:
-        """If the whole system is idle at the current cycle, jump to the
-        next wake cycle (clamped to ``end``).  Returns whether a jump
-        happened.  Skipped ranges are reported to components that account
-        per-cycle state via ``on_cycles_skipped``."""
-        cycle = self._cycle
-        if not self._all_idle(cycle):
-            return False
-        wake = self._next_wake()
-        target = end if wake is None else min(max(wake, cycle + 1), end)
-        if target <= cycle:
-            return False
-        for account in self._skip_accounts:
-            if account is not None:
-                account(cycle, target)
-        self.fast_forwarded_cycles += target - cycle
-        self._cycle = target
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Event dispatch (tier 1)
+    # Event dispatch
     # ------------------------------------------------------------------ #
 
     def _event_run(self, end: int, until, profiler) -> None:
@@ -462,12 +330,14 @@ class Simulator:
         ticks = self._ticks
         event_wakes = self._event_wakes
         accounts = self._skip_accounts
-        accounted = self._accounted
         labels = self._labels
         # Arm everything for the entry cycle: external state may have
-        # changed between runs (drain flags, reconfiguration); the ticks
-        # are state-gated no-ops when nothing did.
+        # changed between runs (drain flags, reconfiguration, manual
+        # steps); the ticks are state-gated no-ops when nothing did.
+        # Skip accounting starts here too — every cycle before the entry
+        # was either ticked by step() or accounted by an earlier run.
         entry = self._cycle
+        accounted = [entry] * len(ticks)
         for index in range(len(ticks)):
             armed[index] = entry
             heappush(heap, (entry, index))
@@ -546,26 +416,10 @@ class Simulator:
         # so denominators cover the full horizon.
         stop = self._cycle
         for index, account in enumerate(accounts):
-            if account is not None:
-                start = accounted[index]
-                if start < stop:
-                    account(start, stop)
-                accounted[index] = stop
+            if account is not None and accounted[index] < stop:
+                account(accounted[index], stop)
 
     # ------------------------------------------------------------------ #
-
-    def _announce_mode(self, event_dispatch: bool) -> None:
-        for hook in self._mode_hooks:
-            hook(event_dispatch)
-
-    def _warn_inhibited(self, reason: str) -> None:
-        self.fast_forward_inhibited = True
-        if not self._warned_inhibited:
-            self._warned_inhibited = True
-            logger.warning(
-                "fast-forward disabled for this run (%s): every cycle "
-                "will be stepped individually", reason
-            )
 
     def run(
         self,
@@ -588,9 +442,9 @@ class Simulator:
         a run boundary, where serialization is guaranteed resumable.  A
         truthy return from the hook stops the run early (how a signal
         handler turns "checkpoint, then exit" into a clean stop).
-        Segmentation never inhibits fast-forward: each segment jumps its
-        idle gaps exactly as one long run would, clamped to the segment
-        end, so the cycles elided are identical.
+        Segmentation never inhibits jumps: each segment jumps its idle
+        gaps exactly as one long run would, clamped to the segment end,
+        so the cycles elided are identical.
         """
         if self._pending_rebind is not None:
             self._rebind()
@@ -623,34 +477,19 @@ class Simulator:
 
     def _run(self, cycles: int, until: Optional[Callable[[], bool]]) -> int:
         end = self._cycle + cycles
-        event_ok = (
-            self.idle_skip and self._all_event and not self._hooks
-        )
-        if event_ok:
-            self.last_dispatch_mode = "event"
-            self._announce_mode(True)
-            self._event_live = True
-            try:
-                self._event_run(end, until, self._profiler)
-            finally:
-                self._event_live = False
+        event = self.idle_skip
+        self.last_dispatch_mode = "event" if event else "naive"
+        for hook in self._mode_hooks:
+            hook(event)
+        if not event:
+            while self._cycle < end:
+                if until is not None and until():
+                    break
+                self.step()
             return self._cycle
-        self.last_dispatch_mode = "stepped" if self.idle_skip else "naive"
-        self._announce_mode(False)
-        if self.idle_skip:
-            if self._hooks:
-                self._warn_inhibited("on_cycle hooks attached")
-            elif self._profiler is not None and not self._all_event:
-                self._warn_inhibited(
-                    "profiler attached to a non-event-capable system"
-                )
-        fast_forward_ok = (
-            self.idle_skip and self._profiler is None and not self._hooks
-        )
-        while self._cycle < end:
-            if until is not None and until():
-                break
-            if fast_forward_ok and self._fast_forward(end):
-                continue
-            self.step()
+        self._event_live = True
+        try:
+            self._event_run(end, until, self._profiler)
+        finally:
+            self._event_live = False
         return self._cycle

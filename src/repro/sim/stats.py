@@ -18,7 +18,15 @@ records request completions plus per-cycle bus activity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0-100) of the sorted, non-empty
+    ``ordered``: the sample at rank ``round(q / 100 * (n - 1))``, no
+    interpolation.  The metrics registry's histograms and the telemetry
+    sampler's per-window latency percentiles both use this."""
+    return float(ordered[round(q / 100 * (len(ordered) - 1))])
 
 
 @dataclass
@@ -63,7 +71,12 @@ class LatencySeries:
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) of recorded latencies, with
-        linear interpolation between closest ranks (the numpy/R-7 default).
+        linear interpolation between closest ranks (Hyndman-Fan R-7).
+
+        This deliberately differs from :func:`nearest_rank`: the
+        ``repro run --percentiles`` report and the p95 figures of
+        :mod:`repro.sim.analysis` are defined by R-7, and switching would
+        move them.
 
         ``q == 0`` and ``q == 100`` are served exactly from the running
         minimum/maximum — no rank arithmetic, no ``keep_samples``
@@ -181,9 +194,9 @@ class StatsCollector:
 
     def record_idle_cycles(self, start: int, stop: int) -> None:
         """Bulk form of :meth:`record_idle_cycle` for the half-open range
-        ``[start, stop)`` — used when the simulator fast-forwards over
-        globally idle cycles, so the utilization denominator stays exactly
-        what per-cycle accounting would have produced."""
+        ``[start, stop)`` — used for cycles event dispatch did not tick
+        the memory NI, so the utilization denominator stays exactly what
+        per-cycle accounting would have produced."""
         self.observed_cycles += max(0, stop - max(start, self.warmup))
 
     def record_command(self, cycle: int, kind: str) -> None:

@@ -41,7 +41,7 @@ class TestTrajectoryHostManifest:
         point = {"calibration_kops": 100.0}
         document = bench.write_trajectory(str(path), point)
         host = document["host"]
-        for field in ("python", "numpy", "cpu_count", "git", "hostname"):
+        for field in ("python", "cpu_count", "git", "hostname"):
             assert field in host
         # And it round-trips through the file.
         assert json.loads(path.read_text())["host"]["python"] \
@@ -50,18 +50,18 @@ class TestTrajectoryHostManifest:
     def test_host_mismatch_flags_divergent_fields(self):
         recorded = {
             "python": "3.10.1", "implementation": "CPython",
-            "numpy": True, "hostname": "ci-runner-1",
+            "hostname": "ci-runner-1",
         }
-        observed = dict(recorded, numpy=False, hostname="laptop")
+        observed = dict(recorded, python="3.11.7", hostname="laptop")
         warnings = bench.host_mismatch(recorded, observed)
         assert len(warnings) == 2
-        assert any("numpy" in w for w in warnings)
+        assert any("python" in w for w in warnings)
         assert any("hostname" in w for w in warnings)
 
     def test_identical_hosts_are_silent(self):
         manifest = {
             "python": "3.11.0", "implementation": "CPython",
-            "numpy": True, "hostname": "same",
+            "hostname": "same",
         }
         assert bench.host_mismatch(manifest, dict(manifest)) == []
 

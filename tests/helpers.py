@@ -31,3 +31,19 @@ def make_request(
         is_demand=demand,
         **kwargs,
     )
+
+
+def advance(mode: str, simulator, cycles: int) -> None:
+    """Simulate ``cycles`` more cycles on one dispatch path: ``event`` and
+    ``naive`` are single runs; ``stepped`` interleaves a manual
+    :meth:`Simulator.step` with a 99-cycle event run, so every run entry
+    follows a hand-stepped cycle."""
+    if mode == "naive":
+        simulator.idle_skip = False
+    if mode != "stepped":
+        simulator.run(cycles)
+        return
+    end = simulator.cycle + cycles
+    while simulator.cycle < end:
+        simulator.step()
+        simulator.run(min(99, end - simulator.cycle))

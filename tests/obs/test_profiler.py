@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.profiler import HOOKS_LABEL, SimulatorProfiler
+from repro.obs.profiler import SimulatorProfiler
 from repro.sim.engine import Simulator
 
 
@@ -17,31 +17,39 @@ class Spinner:
         sum(range(200))
 
 
+def _profile_cycle(profiler, components, cycle):
+    """Drive one cycle through the engine-facing profiler protocol."""
+    for component in components:
+        profiler.timed_tick(type(component).__name__, component.tick, cycle)
+    profiler.end_cycle(cycle)
+
+
+class Recorder:
+    def tick(self, cycle):
+        pass
+
+
 class TestProfilerUnit:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             SimulatorProfiler(window_cycles=0)
 
     def test_step_times_each_component_class(self):
+        """Simulator.step() routes every tick through the profiler."""
+        simulator = Simulator()
+        simulator.add_all([Spinner(), Spinner()])
         profiler = SimulatorProfiler(window_cycles=10)
-        components = [Spinner(), Spinner()]
-        for cycle in range(5):
-            profiler.step(components, [], cycle)
+        simulator.attach_profiler(profiler)
+        for _ in range(5):
+            simulator.step()
         assert profiler.calls == {"Spinner": 10}
         assert profiler.totals["Spinner"] > 0
         assert profiler.cycles_profiled == 5
 
-    def test_hooks_timed_under_own_label(self):
-        profiler = SimulatorProfiler()
-        fired = []
-        profiler.step([], [fired.append], 0)
-        assert fired == [0]
-        assert HOOKS_LABEL in profiler.totals
-
     def test_windows_roll(self):
         profiler = SimulatorProfiler(window_cycles=3)
         for cycle in range(7):
-            profiler.step([Spinner()], [], cycle)
+            _profile_cycle(profiler, [Spinner()], cycle)
         assert len(profiler.windows) == 2
         first_start, first_totals = profiler.windows[0]
         assert first_start == 0
@@ -49,7 +57,7 @@ class TestProfilerUnit:
 
     def test_shares_sum_to_one(self):
         profiler = SimulatorProfiler()
-        profiler.step([Spinner()], [lambda cycle: None], 0)
+        _profile_cycle(profiler, [Spinner(), Recorder()], 0)
         assert sum(profiler.shares().values()) == pytest.approx(1.0)
 
     def test_empty_shares(self):
@@ -58,7 +66,7 @@ class TestProfilerUnit:
     def test_report_renders(self):
         profiler = SimulatorProfiler(window_cycles=2)
         for cycle in range(4):
-            profiler.step([Spinner()], [], cycle)
+            _profile_cycle(profiler, [Spinner()], cycle)
         text = profiler.report()
         assert "Spinner" in text
         assert "component class" in text

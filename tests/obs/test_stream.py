@@ -109,10 +109,9 @@ class TestManifests:
         manifest = host_manifest()
         for field in (
             "python", "implementation", "platform", "hostname",
-            "cpu_count", "numpy", "git", "pid",
+            "cpu_count", "git", "pid",
         ):
             assert field in manifest
-        assert isinstance(manifest["numpy"], bool)
 
     def test_run_manifest_key_matches_sweep_store(self):
         from repro.sweep import config_payload, job_key, metrics_job

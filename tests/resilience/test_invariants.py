@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.system import build_system
 from repro.core.tokens import MAX_TOKENS
+from repro.resilience.faults import FaultConfig
 from repro.resilience.invariants import InvariantChecker, InvariantViolation
 from repro.sim.config import NocDesign, SystemConfig
 
@@ -43,6 +44,19 @@ class TestHealthyRuns:
         system.run()  # raises InvariantViolation on any audit failure
         assert system.invariant_checker.checks_run > 0
 
+    def test_checked_faulty_run_stays_on_event_dispatch(self):
+        """The checker is an ordinary event component: a faulty run with
+        it attached is not dropped to per-cycle stepping, and it audits
+        every multiple of its interval exactly once."""
+        config = SystemConfig(
+            cycles=1_500, warmup=300, seed=2010,
+            faults=FaultConfig.uniform(1e-3), check_invariants=True,
+        )
+        system = build_system(config)
+        system.run()
+        assert system.simulator.last_dispatch_mode == "event"
+        assert system.invariant_checker.checks_run == 1_500 // 64 + 1
+
     def test_final_manual_audit_passes(self):
         system = _running_system()
         checker = InvariantChecker(system.network)
@@ -58,13 +72,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InvariantChecker(system.network, max_packet_age=0)
 
-    def test_on_cycle_respects_interval(self):
+    def test_tick_respects_interval(self):
         system = _running_system(cycles=1)
         checker = InvariantChecker(system.network, interval=64)
-        checker.on_cycle(63)
+        checker.tick(63)
         assert checker.checks_run == 0
-        checker.on_cycle(128)
+        checker.tick(128)
         assert checker.checks_run == 1
+        assert checker.event_wake_at(63) == 64
+        assert checker.event_wake_at(128) == 192
 
 
 class TestViolations:

@@ -28,6 +28,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.config import NocDesign, SystemConfig
 from repro.sim.stats import RunMetrics
+from tests.helpers import advance
 
 CYCLES = 1_800
 WARMUP = 300
@@ -43,15 +44,9 @@ def _config(design, faults) -> SystemConfig:
     )
 
 
-def _forced(mode: str, simulator) -> None:
-    """Pin ``simulator`` to one dispatch tier (see engine module docs).
-    Re-applied after every load: restore re-derives dispatch state."""
-    if mode == "naive":
-        simulator.idle_skip = False
-    elif mode == "stepped":
-        simulator._all_event = False
-    else:
-        assert mode == "event"
+def _dispatch(mode: str) -> str:
+    """The ``last_dispatch_mode`` a run on ``mode``'s path reports."""
+    return "naive" if mode == "naive" else "event"
 
 
 def _observe(system) -> dict:
@@ -90,22 +85,18 @@ def test_resume_identity_all_tiers(tmp_path, mode, design, faults):
     """run(N) == run(k); save; load; run(N-k) for k in {0, mid-run},
     bit-identically, on every dispatch tier."""
     baseline = build_system(_config(design, faults))
-    _forced(mode, baseline.simulator)
-    baseline.simulator.run(CYCLES)
-    assert baseline.simulator.last_dispatch_mode == mode
+    advance(mode, baseline.simulator, CYCLES)
+    assert baseline.simulator.last_dispatch_mode == _dispatch(mode)
     expected = _observe(baseline)
 
     for k in (0, MID):
         system = build_system(_config(design, faults))
-        _forced(mode, system.simulator)
-        system.simulator.run(k)
+        advance(mode, system.simulator, k)
         path = save_checkpoint(tmp_path / f"k{k}.ckpt", system)
         restored = load_checkpoint(path)
-        _forced(mode, restored.simulator)
-        restored.simulator.run(CYCLES - k)
+        advance(mode, restored.simulator, CYCLES - k)
         assert restored.simulator.cycle == CYCLES
-        if k > 0:
-            assert restored.simulator.last_dispatch_mode == mode
+        assert restored.simulator.last_dispatch_mode == _dispatch(mode)
         diffs = _diffs(_observe(restored), expected)
         assert not diffs, f"resume at k={k} diverged ({mode}): {diffs}"
 
@@ -120,13 +111,12 @@ def test_resume_identity_post_drain(tmp_path, mode, design, faults):
     extra = 5_000
 
     def run_drain(system):
-        _forced(mode, system.simulator)
-        system.simulator.run(CYCLES)
+        advance(mode, system.simulator, CYCLES)
         system.drain()
 
     baseline = build_system(_config(design, faults))
     run_drain(baseline)
-    baseline.simulator.run(extra)
+    advance(mode, baseline.simulator, extra)
     expected = _observe(baseline)
 
     system = build_system(_config(design, faults))
@@ -134,9 +124,8 @@ def test_resume_identity_post_drain(tmp_path, mode, design, faults):
     restored = load_checkpoint(
         save_checkpoint(tmp_path / "drained.ckpt", system)
     )
-    _forced(mode, restored.simulator)
     before = restored.simulator.fast_forwarded_cycles
-    restored.simulator.run(extra)
+    advance(mode, restored.simulator, extra)
     diffs = _diffs(_observe(restored), expected)
     assert not diffs, f"post-drain resume diverged ({mode}): {diffs}"
     if mode != "naive":

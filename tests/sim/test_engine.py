@@ -1,4 +1,4 @@
-"""Simulator kernel tests: ordering, hooks, run control."""
+"""Simulator kernel tests: ordering, run control, event dispatch."""
 
 import pytest
 
@@ -56,16 +56,6 @@ def test_add_returns_component_for_fluent_wiring():
     assert sim.add(component) is component
 
 
-def test_on_cycle_hook_runs_after_components():
-    log = []
-    sim = Simulator()
-    sim.add(Recorder(log, "comp"))
-    sim.on_cycle(lambda cycle: log.append((cycle, "hook")))
-    sim.step()
-    sim.step()
-    assert log == [(0, "comp"), (0, "hook"), (1, "comp"), (1, "hook")]
-
-
 def test_add_all_registers_in_iteration_order():
     log = []
     sim = Simulator()
@@ -104,8 +94,8 @@ def test_add_rejects_non_callable_tick_attribute():
 
 
 class Sleeper:
-    """Idle-skip component: quiet until ``wake`` (None = purely reactive),
-    then ticks exactly once and goes quiet again."""
+    """Event component: quiet until ``wake`` (None = purely reactive),
+    then ticks once there and goes quiet again."""
 
     def __init__(self, log, wake=None):
         self.log = log
@@ -117,10 +107,7 @@ class Sleeper:
         if self.wake is not None and cycle >= self.wake:
             self.wake = None
 
-    def is_idle(self, cycle):
-        return self.wake is None or cycle < self.wake
-
-    def wake_at(self):
+    def event_wake_at(self, cycle):
         return self.wake
 
     def on_cycles_skipped(self, start, stop):
@@ -132,11 +119,12 @@ def test_fast_forward_jumps_to_wake_cycle():
     sim = Simulator()
     component = sim.add(Sleeper(log, wake=40))
     sim.run(100)
-    # Cycles 0-39 are skipped in one jump; 40 ticks; 41-99 jump to end.
-    assert log == [40]
+    # Run entry ticks cycle 0; 1-39 are skipped in one jump; 40 ticks;
+    # 41-99 jump to the end.
+    assert log == [0, 40]
     assert sim.cycle == 100
-    assert sim.fast_forwarded_cycles == 99
-    assert component.skipped == [(0, 40), (41, 100)]
+    assert sim.fast_forwarded_cycles == 98
+    assert component.skipped == [(1, 40), (41, 100)]
 
 
 def test_fast_forward_clamps_to_run_horizon():
@@ -144,11 +132,11 @@ def test_fast_forward_clamps_to_run_horizon():
     sim = Simulator()
     component = sim.add(Sleeper(log, wake=500))
     sim.run(100)
-    assert log == []
+    assert log == [0]
     assert sim.cycle == 100
-    assert component.skipped == [(0, 100)]
+    assert component.skipped == [(1, 100)]
     sim.run(500)
-    assert log == [500]
+    assert log == [0, 100, 500]
     assert sim.cycle == 600
 
 
@@ -157,8 +145,8 @@ def test_fast_forward_with_no_wake_jumps_to_end():
     component = sim.add(Sleeper([], wake=None))
     sim.run(1_000)
     assert sim.cycle == 1_000
-    assert sim.fast_forwarded_cycles == 1_000
-    assert component.skipped == [(0, 1_000)]
+    assert sim.fast_forwarded_cycles == 999
+    assert component.skipped == [(1, 1_000)]
 
 
 def test_fast_forward_disabled_without_idle_skip():
@@ -171,57 +159,59 @@ def test_fast_forward_disabled_without_idle_skip():
     assert sim.fast_forwarded_cycles == 0
 
 
-def test_fast_forward_disabled_with_cycle_hooks():
-    """on_cycle hooks observe individual cycles, so every cycle must step."""
-    log, hooks = [], []
+def test_fast_forward_disabled_by_tick_only_component():
+    """A component with only ``tick`` observes every cycle, so it is
+    re-armed every cycle and nothing is jumped."""
+    log, every = [], []
     sim = Simulator()
     sim.add(Sleeper(log, wake=40))
-    sim.on_cycle(hooks.append)
+    sim.add(Recorder(every, "every"))
     sim.run(100)
-    assert hooks == list(range(100))
+    assert log == [0, 40]
+    assert [cycle for cycle, _ in every] == list(range(100))
     assert sim.fast_forwarded_cycles == 0
 
 
-def test_step_skips_idle_components_without_skip_accounting():
-    """Per-cycle dispatch honours is_idle for components that do not keep
-    per-cycle counters (no on_cycles_skipped)."""
-
-    class Gated:
-        def __init__(self):
-            self.ticks = []
-
-        def tick(self, cycle):
-            self.ticks.append(cycle)
-
-        def is_idle(self, cycle):
-            return cycle % 2 == 0  # idle on even cycles
-
+def test_step_ticks_every_component():
+    """step() is the naive one-cycle body: it ticks every component, idle
+    or not, event contract or not."""
+    log, busy = [], []
     sim = Simulator()
-    gated = sim.add(Gated())
-    always = sim.add(Recorder([], "busy"))
-    always.is_idle = None  # plain component: no idle contract
+    sim.add(Sleeper(log, wake=None))
+    sim.add(Recorder(busy, "busy"))
     for _ in range(6):
         sim.step()
-    assert gated.ticks == [1, 3, 5]
+    assert log == list(range(6))
+    assert [cycle for cycle, _ in busy] == list(range(6))
 
 
 def test_step_always_ticks_components_with_skip_accounting():
-    """A component with on_cycles_skipped keeps per-cycle state, so the
-    stepped path must tick it every cycle even while it reports idle —
-    only bulk fast-forward may elide its ticks (with accounting)."""
+    """A component with on_cycles_skipped is ticked by every step() and
+    never billed for skipped cycles: only event-dispatch gaps are."""
     log = []
-    sleeper = Sleeper(log, wake=None)  # always idle
-    busy = Recorder([], "busy")        # keeps the system from fast-forwarding
+    sleeper = Sleeper(log, wake=None)  # never self-arms
 
     sim = Simulator()
     sim.add(sleeper)
-    sim.add(busy)
-    sim.run(10)
+    for _ in range(10):
+        sim.step()
     assert log == list(range(10))
     assert sleeper.skipped == []
 
+
+def test_run_after_step_accounts_each_cycle_once():
+    """Cycles ticked by step() are not billed again by a later run():
+    skip accounting starts at the run's entry cycle."""
+    sim = Simulator()
+    sleeper = sim.add(Sleeper([], wake=None))
+    for _ in range(5):
+        sim.step()
+    sim.run(20)
+    assert sleeper.log == list(range(6))
+    assert sleeper.skipped == [(6, 25)]
+
 # ---------------------------------------------------------------------- #
-# Event dispatch (tier 1)
+# Event dispatch
 # ---------------------------------------------------------------------- #
 
 from bisect import bisect_right
@@ -306,13 +296,29 @@ def test_event_dispatch_jumps_unarmed_gaps():
     assert sim.fast_forwarded_cycles == 98  # 1-4 and 6-99
 
 
-def test_one_legacy_component_drops_the_run_to_stepping():
+def test_tick_only_component_is_rearmed_every_cycle():
     log = []
     sim = Simulator()
     sim.add(EventRecorder(log, "event", schedule=[]))
-    sim.add(Recorder(log, "legacy"))
+    sim.add(Recorder(log, "tick-only"))
     sim.run(5)
-    assert sim.last_dispatch_mode == "stepped"
+    assert sim.last_dispatch_mode == "event"
+    assert log == [(0, "event")] + [(c, "tick-only") for c in range(5)]
+
+
+def test_last_registered_observer_runs_after_components():
+    """End-of-cycle observers are components registered last: on every
+    cycle they run, every earlier component due that cycle — including
+    one woken mid-cycle — has already ticked."""
+    log = []
+    sim = Simulator()
+    reactive = Reactive(log, "b")
+    sim.add(Firer(log, "a", schedule=[3], fire_at=3, target=reactive))
+    sim.add(reactive)
+    sim.add(EventRecorder(log, "observer", schedule=[3, 4]))
+    sim.run(6)
+    assert log == [(0, "a"), (0, "b"), (0, "observer"),
+                   (3, "a"), (3, "b"), (3, "observer"), (4, "observer")]
 
 
 def test_event_wake_reaches_a_later_component_the_same_cycle():
@@ -374,30 +380,21 @@ def test_profiler_rides_event_dispatch_without_inhibition():
     sim.attach_profiler(profiler)
     sim.run(10)
     assert sim.last_dispatch_mode == "event"
-    assert sim.fast_forward_inhibited is False
+    assert sim.fast_forwarded_cycles == 7
     # Only the cycles that actually processed ticks are attributed.
     assert profiler.cycles_profiled == 3
     assert profiler.totals.get("EventRecorder", 0) > 0
 
 
-def test_profiler_on_legacy_system_inhibits_fast_forward():
+def test_profiler_on_tick_only_system_stays_on_event_dispatch():
     sim = Simulator()
-    sim.add(Sleeper([], wake=40))
-    sim.attach_profiler(SimulatorProfiler())
+    sim.add(Recorder([], "tick-only"))
+    profiler = SimulatorProfiler()
+    sim.attach_profiler(profiler)
     sim.run(10)
-    assert sim.last_dispatch_mode == "stepped"
-    assert sim.fast_forward_inhibited is True
-
-
-def test_cycle_hooks_inhibit_event_dispatch_and_set_telemetry():
-    log, hooks = [], []
-    sim = Simulator()
-    sim.add(EventRecorder(log, "a", schedule=[5]))
-    sim.on_cycle(hooks.append)
-    sim.run(10)
-    assert sim.last_dispatch_mode == "stepped"
-    assert sim.fast_forward_inhibited is True
-    assert hooks == list(range(10))
+    assert sim.last_dispatch_mode == "event"
+    assert profiler.calls == {"Recorder": 10}
+    assert profiler.cycles_profiled == 10
 
 
 def test_on_run_mode_announces_the_dispatch_tier():
@@ -424,3 +421,20 @@ def test_event_rearm_every_cycle_ticks_continuously():
     sim.add(EventRecorder(log, "a", schedule=list(range(1, 50))))
     sim.run(50)
     assert [c for c, _ in log] == list(range(50))
+
+
+def test_step_then_run_keeps_sdram_observed_cycles_exact():
+    """The SDRAM utilization denominator counts every cycle after warmup
+    exactly once, however the horizon is split between step() and run()."""
+    from repro.core.system import build_system
+    from repro.sim.config import SystemConfig
+
+    config = SystemConfig(cycles=3_000, warmup=100, seed=2010)
+    system = build_system(config)
+    for _ in range(250):
+        system.simulator.step()
+    system.simulator.run(2_000)
+    system.drain()
+    system.simulator.run(1_000)
+    assert system.simulator.fast_forwarded_cycles > 0
+    assert system.stats.observed_cycles == system.simulator.cycle - 100

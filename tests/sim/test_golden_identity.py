@@ -1,11 +1,12 @@
-"""Golden regression: idle-skip stepping is bit-identical to naive stepping.
+"""Golden regression: event dispatch is bit-identical to naive stepping.
 
-The idle-skip contract (see :mod:`repro.sim.engine`) claims that skipping a
-component's tick when ``is_idle`` holds — and fast-forwarding whole idle
-gaps — changes no observable state.  These tests hold the kernel to that
-claim end-to-end: full systems run twice, once per kernel, and every
-reported metric (and the resilience ledger, when faults are injected) must
-match exactly.  Any drift here means a component's ``is_idle`` lied.
+The event contract (see :mod:`repro.sim.engine`) claims that ticking a
+component only on the cycles it arms — and jumping whole idle gaps —
+changes no observable state.  These tests hold the kernel to that claim
+end-to-end: full systems run twice, once under event dispatch and once
+under the naive oracle, and every reported metric (and the resilience
+ledger, when faults are injected) must match exactly.  Any drift here
+means a component's ``event_wake_at`` or a wake hook missed a cycle.
 """
 
 import dataclasses
@@ -15,6 +16,8 @@ import pytest
 from repro.core.system import build_system
 from repro.resilience.faults import FaultConfig
 from repro.sim.config import NocDesign, SystemConfig
+from repro.sim.stats import RunMetrics
+from tests.helpers import advance
 
 CYCLES = 2_500
 WARMUP = 400
@@ -62,12 +65,12 @@ def test_idle_skip_metrics_bit_identical(design, faults):
 def test_fast_forward_engages_on_drained_system():
     """The identity above is only meaningful if the fast path engages.
 
-    At the paper's operating point the fabric is saturated, so global
-    fast-forward never fires mid-run (per-cycle skipping carries the
-    speedup there); it fires on idle tails.  After :meth:`System.drain`
-    reaches quiescence, every component is idle with no self-wake, so a
-    further run must jump over (almost) the whole horizon instead of
-    stepping it."""
+    At the paper's operating point the fabric is saturated, so few cycles
+    are jumped mid-run (ticking only the armed components carries the
+    speedup there); whole-system jumps fire on idle tails.  After
+    :meth:`System.drain` reaches quiescence, every component is idle with
+    no self-wake, so a further run must jump over (almost) the whole
+    horizon instead of stepping it."""
     config = SystemConfig(
         app="single_dtv", cycles=CYCLES, warmup=WARMUP,
         design=NocDesign.GSS_SAGM, seed=2010,
@@ -84,33 +87,27 @@ def test_fast_forward_engages_on_drained_system():
     )
 
 
-def _forced(mode: str, simulator) -> None:
-    """Pin ``simulator`` to one dispatch tier (see engine module docs)."""
-    if mode == "naive":
-        simulator.idle_skip = False
-    elif mode == "stepped":
-        simulator._all_event = False  # the legacy escape hatch
-    else:
-        assert mode == "event"
-
-
 def _run_mode(mode: str, design: NocDesign, faults) -> dict:
     config = SystemConfig(
         app="single_dtv", cycles=CYCLES, warmup=WARMUP,
         design=design, seed=2010, faults=faults,
     )
     system = build_system(config)
-    _forced(mode, system.simulator)
-    metrics = system.run(CYCLES)
-    assert system.simulator.last_dispatch_mode == mode
-    return dataclasses.asdict(metrics)
+    advance(mode, system.simulator, CYCLES)
+    assert system.simulator.last_dispatch_mode == (
+        "naive" if mode == "naive" else "event"
+    )
+    return dataclasses.asdict(RunMetrics.from_collector(
+        system.stats, system.simulator.cycle, scheduler=system.subsystem
+    ))
 
 
 @pytest.mark.parametrize("mode", ["event", "stepped"])
 @pytest.mark.parametrize("design", [NocDesign.GSS_SAGM, NocDesign.CONV])
 def test_every_dispatch_tier_matches_naive(mode, design):
-    """Three-way golden identity: the event calendar queue and the stepped
-    idle-skip kernel must both reproduce naive stepping exactly."""
+    """Three-way golden identity: one event run, and event runs
+    interleaved with manual steps, must both reproduce naive stepping
+    exactly."""
     observed = _run_mode(mode, design, FAULTS)
     naive = _run_mode("naive", design, FAULTS)
     diffs = {
@@ -279,9 +276,7 @@ def test_random_schedules_event_identical_to_naive(schedule, tokens, delay):
 def test_sampler_leaves_metrics_bit_identical(interval):
     """An attached time-series sampler — at a pathological interval of 1
     or a boundary-straddling prime — must leave every reported metric
-    bit-identical to the unsampled run, and must keep an all-event system
-    on the event tier (it speaks ``event_wake_at``, so it never drops the
-    run to stepping)."""
+    bit-identical to the unsampled run."""
     def run(attach: bool):
         config = SystemConfig(
             app="single_dtv", cycles=CYCLES, warmup=WARMUP,

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import LatencySeries, RunMetrics, StatsCollector
+from repro.sim.stats import (
+    LatencySeries,
+    RunMetrics,
+    StatsCollector,
+    nearest_rank,
+)
 
 
 class TestLatencySeries:
@@ -179,7 +184,7 @@ class TestPercentiles:
         assert 94 <= series.percentile(95) <= 96
 
     def test_percentile_linear_interpolation_exact(self):
-        """R-7 (numpy default) closest-ranks interpolation, exactly."""
+        """R-7 closest-ranks interpolation, exactly."""
         series = LatencySeries(keep_samples=True)
         for value in (1, 2, 3, 4):
             series.record(value)
@@ -225,3 +230,13 @@ class TestPercentiles:
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError, match="empty series"):
             LatencySeries(keep_samples=True).percentile(99)
+
+    def test_nearest_rank_picks_a_sample_without_interpolation(self):
+        """The shared registry/sampler estimator: rank round(q/100 (n-1)),
+        Python's round-half-even included."""
+        ordered = [1, 2, 3, 4]
+        assert nearest_rank(ordered, 0) == 1.0
+        assert nearest_rank(ordered, 50) == 3.0   # rank 1.5 -> 2
+        assert nearest_rank(ordered, 25) == 2.0   # rank 0.75 -> 1
+        assert nearest_rank(ordered, 100) == 4.0
+        assert nearest_rank([7], 99) == 7.0

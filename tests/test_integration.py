@@ -149,3 +149,26 @@ class TestPartialDeployment:
         _, explicit = run_system(NocDesign.GSS, num_gss_routers=9,
                                  cycles=2_500, warmup=400)
         assert implicit == explicit
+
+
+def test_building_and_running_imports_no_numpy():
+    """The package is pure Python: a fresh interpreter that builds and
+    runs a system (faults and invariant checking included) never imports
+    numpy."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro import SystemConfig, build_system\n"
+        "from repro.resilience.faults import FaultConfig\n"
+        "build_system(SystemConfig(cycles=300, warmup=0, check_invariants=True,"
+        " faults=FaultConfig.uniform(1e-3))).run()\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
