@@ -313,29 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--warmup", type=int, default=None)
     export.add_argument("--seeds", type=int, nargs="+", default=None)
 
-    bench_cmd = sub.add_parser(
-        "bench", help="run the standing simulator benchmarks"
-    )
-    bench_cmd.add_argument("--cycles", type=int, default=None)
-    bench_cmd.add_argument("--reps", type=int, default=None)
-    bench_cmd.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the measured point as a trajectory JSON file",
-    )
-    bench_cmd.add_argument(
-        "--check", metavar="TRAJECTORY", default=None,
-        help="compare against a recorded BENCH_*.json; exit 1 if any "
-        "benchmark regressed more than --max-regression",
-    )
-    bench_cmd.add_argument(
-        "--max-regression", type=float, default=0.2,
-        help="allowed calibration-scaled cycles/sec drop (default 0.2)",
-    )
-    bench_cmd.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="stream one bench_round record per timed repetition to PATH",
-    )
-
     return parser
 
 
@@ -779,46 +756,6 @@ def _cmd_profile(args) -> None:
     print(profiler.report(windows=args.windows))
 
 
-def _cmd_bench(args) -> int:
-    from .experiments import bench
-
-    kwargs = {}
-    if args.cycles is not None:
-        kwargs["cycles"] = args.cycles
-    if args.reps is not None:
-        kwargs["reps"] = args.reps
-    telemetry = None
-    if getattr(args, "telemetry", None):
-        from .obs.stream import TelemetryWriter
-
-        telemetry = TelemetryWriter(args.telemetry)
-    try:
-        point = bench.run_benchmarks(telemetry=telemetry, **kwargs)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(bench.render(point))
-    if args.json:
-        bench.write_trajectory(args.json, point)
-        print(f"wrote {args.json}")
-    if args.check:
-        document = bench.load_trajectory(args.check)
-        for warning in bench.host_mismatch(document.get("host")):
-            print(
-                f"WARNING cross-host comparison — {warning}",
-                file=sys.stderr,
-            )
-        failures = bench.check_regression(
-            document["current"], point, max_regression=args.max_regression
-        )
-        for failure in failures:
-            print(f"REGRESSION {failure}")
-        if failures:
-            return 1
-        print(f"trajectory holds (vs {args.check})")
-    return 0
-
-
 #: SystemConfig fields the generic grid can sweep or pin, with their
 #: value parsers (`fault_rate` is the uniform-profile pseudo-field).
 _SWEEP_BOOL_FIELDS = frozenset(
@@ -1125,8 +1062,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs.setdefault("seeds", (2010,))
         export_all(args.output, **kwargs)
         print(f"wrote {args.output}")
-    elif args.command == "bench":
-        return _cmd_bench(args)
     elif args.command == "monitor":
         from .obs.monitor import run_monitor
 

@@ -44,7 +44,6 @@ class MonitorState:
     sweep_finished: bool = False
     #: worker id -> most recent heartbeat record.
     workers: Dict[object, Mapping[str, object]] = field(default_factory=dict)
-    bench_rounds: int = 0
     records_seen: int = 0
 
     # ------------------------------------------------------------------ #
@@ -86,8 +85,6 @@ class MonitorState:
             self.workers[record.get("worker")] = record
         elif rtype == "sweep_end":
             self.sweep_finished = True
-        elif rtype == "bench_round":
-            self.bench_rounds += 1
 
     @property
     def finished(self) -> bool:
@@ -207,8 +204,6 @@ def render(state: MonitorState) -> str:
             )
         if state.sweep_finished:
             lines.append("sweep done")
-    if state.bench_rounds:
-        lines.append(f"bench     : {state.bench_rounds} timed rounds")
     if not lines:
         lines.append(f"(no renderable records in {state.records_seen} read)")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ has a ``type`` and a wall-clock ``ts``:
   the sweep orchestrator's lifecycle, including per-worker heartbeats
   written *by the worker processes themselves* (single-line ``O_APPEND``
   writes, so no cross-process locking is needed);
-* ``bench_round`` — one timed repetition of a standing benchmark;
 * ``checkpoint`` — one snapshot written by ``repro run`` (periodic or
   signal-triggered): cycle, path, and reason.
 
@@ -48,7 +47,6 @@ RECORD_TYPES = frozenset([
     "run_start", "sample", "run_end",
     "sweep_start", "job_start", "job_done", "job_fail", "job_hit",
     "heartbeat", "sweep_progress", "sweep_end",
-    "bench_round",
     "checkpoint",
 ])
 
@@ -211,8 +209,8 @@ def git_describe() -> Optional[str]:
 
 
 def host_manifest() -> Dict[str, object]:
-    """Who/what produced a measurement: the fields trajectory and
-    telemetry comparisons need to flag cross-host mixing."""
+    """Who/what produced a measurement: the fields telemetry
+    comparisons need to flag cross-host mixing."""
     try:
         hostname = socket.gethostname()
     except OSError:  # pragma: no cover - esoteric hosts

@@ -128,7 +128,7 @@ class TestManifests:
 
     def test_record_types_cover_protocol(self):
         assert {"run_start", "sample", "run_end", "heartbeat",
-                "sweep_progress", "bench_round"} <= RECORD_TYPES
+                "sweep_progress"} <= RECORD_TYPES
 
 
 class TestPrometheus:

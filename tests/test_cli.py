@@ -422,9 +422,3 @@ class TestTelemetryCommands:
         capsys.readouterr()
         assert main(["monitor", str(path), "--once"]) == 0
         assert "2/2 done" in capsys.readouterr().out
-
-    def test_bench_parser_telemetry_flag(self):
-        args = build_parser().parse_args(
-            ["bench", "--telemetry", "b.ndjson"]
-        )
-        assert args.telemetry == "b.ndjson"
