@@ -21,10 +21,8 @@ class CommandKind(enum.Enum):
 
     @property
     def is_cas(self) -> bool:
-        return self in _CAS_KINDS
-
-
-_CAS_KINDS = frozenset((CommandKind.READ, CommandKind.WRITE))
+        # Identity tests: frozenset membership would hash the member.
+        return self is CommandKind.READ or self is CommandKind.WRITE
 
 
 @dataclass(frozen=True, slots=True)

@@ -101,6 +101,9 @@ class CommandEngine:
         self.finished: List[FinishedRequest] = []
         self.demand_precharges = 0
         self.tracer = tracer
+        #: Stall memo: while ``cycle < _stalled_until`` the last full choose
+        #: proved no command can issue (see :meth:`next_attempt_cycle`).
+        self._stalled_until = 0
 
     # ------------------------------------------------------------------ #
 
@@ -117,6 +120,9 @@ class CommandEngine:
                 f"{len(self.device.banks)} banks"
             )
         self.entries.append(WindowEntry(request, cycle))
+        # A new entry is the only thing that can make a command legal
+        # sooner than the memoized bound.
+        self._stalled_until = 0
 
     @property
     def pending(self) -> int:
@@ -138,47 +144,52 @@ class CommandEngine:
 
     def tick(self, cycle: int) -> Optional[DramCommand]:
         """Issue at most one command; retire fully-served entries."""
-        if self.refresh is not None and self.refresh.enabled:
-            blocking = self._refresh_tick(cycle)
-            if blocking is not None:
-                return blocking
-            if self.refresh.in_progress(cycle) or self.refresh.due(cycle):
-                return None
-        if not self.entries:
-            # Every _choose_command branch scans entries; with an empty
-            # window no command can be chosen.
+        refresh = self.refresh
+        if refresh is not None and refresh.enabled and (
+            refresh.due(cycle) or refresh.in_progress(cycle)
+        ):
+            # A refresh only delays commands, so a stall memo taken before
+            # it stays conservative-early.
+            return self._refresh_tick(cycle)
+        if not self.entries or cycle < self._stalled_until:
+            # Every chooser scans the window, and a memoized stall already
+            # proved nothing can issue before ``_stalled_until``.
             return None
         command = self._choose_command(cycle)
-        if command is not None:
-            # Every chooser only returns a command can_issue just accepted
-            # at this cycle, so the vetted path skips the re-check.
-            completion = self.device.issue_vetted(cycle, command)
-            tracer = self.tracer
-            if tracer:
-                tracer.emit(
-                    EventType.DRAM_CMD,
-                    cycle,
-                    f"bank{command.bank}",
-                    request_id=command.request_id,
-                    kind=command.kind.value,
-                    row=command.row,
+        if command is None:
+            self._stalled_until = self.next_attempt_cycle(cycle)
+            return None
+        # Every chooser only builds a command the device's legality
+        # predicate just accepted at this cycle, so the vetted path skips
+        # the re-check.
+        completion = self.device.issue_vetted(cycle, command)
+        tracer = self.tracer
+        if tracer:
+            tracer.emit(
+                EventType.DRAM_CMD,
+                cycle,
+                f"bank{command.bank}",
+                request_id=command.request_id,
+                kind=command.kind.value,
+                row=command.row,
+            )
+        if command.kind.is_cas:
+            # CAS is in order: it always serves the head entry.
+            entry = self.entries[0]
+            assert completion is not None
+            if entry.bursts_issued == 0 and self.device.stats is not None:
+                self.device.stats.record_row_outcome(
+                    cycle, hit=not entry.required_act, bank=command.bank
                 )
-            if command.kind.is_cas:
-                entry = self._entry_for(command.request_id)
-                assert entry is not None and completion is not None
-                if entry.bursts_issued == 0 and self.device.stats is not None:
-                    self.device.stats.record_row_outcome(
-                        cycle, hit=not entry.required_act, bank=command.bank
-                    )
-                entry.bursts_issued += 1
-                entry.beats_remaining -= completion.useful_beats
-                entry.next_column += command.burst_beats
-                entry.last_data_end = completion.data_end
-                if entry.cas_done:
-                    self.finished.append(
-                        FinishedRequest(entry.request, entry.last_data_end)
-                    )
-                    self.entries.remove(entry)
+            entry.bursts_issued += 1
+            entry.beats_remaining -= completion.useful_beats
+            entry.next_column += command.burst_beats
+            entry.last_data_end = completion.data_end
+            if entry.cas_done:
+                self.finished.append(
+                    FinishedRequest(entry.request, entry.last_data_end)
+                )
+                del self.entries[0]
         return command
 
     # ------------------------------------------------------------------ #
@@ -194,11 +205,10 @@ class CommandEngine:
             return None
         # Close any open bank as soon as its timing allows.
         for bank in self.device.banks:
-            if bank.is_active:
+            if bank.is_active and self.device.pre_ok(cycle, bank.index):
                 command = DramCommand(kind=CommandKind.PRECHARGE, bank=bank.index)
-                if self.device.can_issue(cycle, command):
-                    self.device.issue_vetted(cycle, command)
-                    return command
+                self.device.issue_vetted(cycle, command)
+                return command
         quiet = (
             all(not bank.is_active and bank.auto_precharge_at is None
                 and cycle >= bank.idle_at
@@ -225,21 +235,20 @@ class CommandEngine:
         return self._precharge_command(cycle)
 
     def _cas_command(self, cycle: int) -> Optional[DramCommand]:
-        """CAS for the oldest entry whose row is open (in-order data)."""
-        if not self.entries:
-            return None
-        if cycle < self.device.next_cas_ok:
-            # Device-global tCCD gate: can_issue would reject any CAS this
-            # cycle, so skip building and vetting the command.
+        """CAS for the oldest entry, once its row is open (in-order data)."""
+        device = self.device
+        if cycle < device.next_cas_ok:
+            # Device-global tCCD gate: cas_ok would reject any CAS this
+            # cycle, so skip the call.
             return None
         entry = self.entries[0]
         request = entry.request
-        if not self.device.banks[request.bank].row_is_open(request.row, cycle):
+        if not device.cas_ok(cycle, request.bank, request.row, request.is_write):
             return None
         burst = self._burst_for(entry)
         useful = min(entry.beats_remaining, burst)
         last_burst = entry.beats_remaining <= burst
-        command = DramCommand(
+        return DramCommand(
             kind=CommandKind.WRITE if request.is_write else CommandKind.READ,
             bank=request.bank,
             row=request.row,
@@ -249,7 +258,6 @@ class CommandEngine:
             useful_beats=useful,
             request_id=request.request_id,
         )
-        return command if self.device.can_issue(cycle, command) else None
 
     def _burst_for(self, entry: WindowEntry) -> int:
         if self.otf and entry.beats_remaining <= 4:
@@ -265,12 +273,13 @@ class CommandEngine:
 
     def _activate_command(self, cycle: int) -> Optional[DramCommand]:
         """ACT for the first entry whose bank is idle (bank-prep overlap)."""
-        if cycle < self.device.next_act_ok:
-            # Device-global tRRD gate: can_issue would reject any ACT this
+        device = self.device
+        if cycle < device.next_act_ok:
+            # Device-global tRRD gate: act_ok would reject any ACT this
             # cycle, so skip the window scan.
             return None
         prepared = set()
-        banks = self.device.banks
+        banks = device.banks
         for entry in self.entries:
             request = entry.request
             key = request.bank
@@ -279,53 +288,55 @@ class CommandEngine:
             prepared.add(key)
             if banks[key].row_is_open(request.row, cycle):
                 continue
-            command = DramCommand(
-                kind=CommandKind.ACTIVATE, bank=request.bank, row=request.row
-            )
-            if self.device.can_issue(cycle, command):
+            if device.act_ok(cycle, key):
                 entry.required_act = True
-                return command
+                return DramCommand(
+                    kind=CommandKind.ACTIVATE, bank=key, row=request.row
+                )
         return None
 
     def _precharge_command(self, cycle: int) -> Optional[DramCommand]:
         """Demand PRE for a bank conflicting with a window entry's row.
 
-        A bank may not be precharged while an older un-served entry still
-        needs its currently-open row.
+        Only the oldest window entry of each bank is considered, so a bank
+        is never precharged while an older un-served entry still needs its
+        currently-open row: the younger entry waits for that retirement.
         """
+        device = self.device
         handled = set()
-        for index, entry in enumerate(self.entries):
+        for entry in self.entries:
             request = entry.request
-            if request.bank in handled:
+            key = request.bank
+            if key in handled:
                 continue
-            handled.add(request.bank)
-            bank = self.device.banks[request.bank]
+            handled.add(key)
+            bank = device.banks[key]
             if not bank.is_active or bank.open_row == request.row:
                 continue
-            if self._older_entry_needs_row(index, request.bank, bank.open_row):
-                continue
-            command = DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
-            if self.device.can_issue(cycle, command):
+            if device.pre_ok(cycle, key):
                 self.demand_precharges += 1
-                return command
+                return DramCommand(kind=CommandKind.PRECHARGE, bank=key)
         return None
 
     def next_attempt_cycle(self, cycle: int) -> int:
         """Earliest future cycle :meth:`_choose_command` could return a
         command, assuming no new accepts or external events.
 
-        Event-dispatch support: when the engine stalls on SDRAM timing
-        (tRC/tRP/tRCD, bus turnaround, tCCD/tRRD) the memory interface
-        sleeps until this cycle instead of polling.  The bound mirrors the
-        three choosers and is *conservative-early*: it may wake the engine
-        before a command is actually legal (ordering constraints such as
-        "an older entry still needs this row" resolve on retirement, which
-        is itself an engine activity) — a spurious wake re-stalls
-        bit-identically — but it is never later than the true earliest
-        issue cycle, because every time-gated threshold of every candidate
-        command is included.  Pure: no lazy auto-precharge retirement is
-        applied (pending AP windows are read, not retired).
+        The bound gates both polling and sleeping.  When a tick chooses
+        nothing, :meth:`tick` memoizes this bound in ``_stalled_until``
+        and skips the choosers until it passes; :meth:`accept` clears the
+        memo.  Under event dispatch the memory interface also sleeps until
+        this cycle, and while the memo holds every such query reads it
+        instead of recomputing.  The bound mirrors the three choosers
+        and is *conservative-early*: it may name a cycle before a command
+        is actually legal — the choose then stalls again and re-memoizes —
+        but it is never later than the true earliest issue cycle, because
+        every time-gated threshold of every candidate command is included.
+        Pure: no lazy auto-precharge retirement is applied (pending AP
+        windows are read, not retired).
         """
+        if self._stalled_until > cycle:
+            return self._stalled_until
         device = self.device
         banks = device.banks
         timing = device.timing
@@ -365,9 +376,11 @@ class CommandEngine:
                     cas_at, device._last_write_data_end + timing.t_wtr + 1
                 )
             bound = cas_at
-        # ACT / PRE: first entry per bank, as the choosers scan.
+        # ACT / PRE: first entry per bank, as the choosers scan.  The head
+        # entry always contributes here unless its CAS bound is set above,
+        # so ``bound`` is never left unset.
         seen = set()
-        for index, entry in enumerate(entries):
+        for entry in entries:
             request = entry.request
             key = request.bank
             if key in seen:
@@ -383,27 +396,9 @@ class CommandEngine:
             elif bank.state is BankState.ACTIVE:
                 if bank.open_row == request.row:
                     continue  # row already open: nothing to prepare
-                if self._older_entry_needs_row(index, key, bank.open_row):
-                    continue  # unblocked by retirement, not by time
                 candidate = bank.precharge_ok_at
             else:
                 candidate = max(device._next_act_ok, bank.idle_at)
             if bound is None or candidate < bound:
                 bound = candidate
-        if bound is None:
-            # Every bank is order-blocked; retirement (an engine activity)
-            # unblocks them, so any wake cycle is safe.
-            return floor
         return bound if bound > floor else floor
-
-    def _older_entry_needs_row(self, index: int, bank: int, open_row) -> bool:
-        for other in self.entries[:index]:
-            if other.request.bank == bank and other.request.row == open_row:
-                return True
-        return False
-
-    def _entry_for(self, request_id) -> Optional[WindowEntry]:
-        for entry in self.entries:
-            if entry.request.request_id == request_id:
-                return entry
-        return None

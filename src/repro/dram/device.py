@@ -71,42 +71,67 @@ class SdramDevice:
 
     def can_issue(self, cycle: int, command: DramCommand) -> bool:
         """True iff ``command`` violates no constraint at ``cycle``."""
-        if command.kind is CommandKind.NOP:
+        kind = command.kind
+        if kind is CommandKind.NOP:
             return True
-        if cycle <= self._last_command_cycle:
-            return False  # one command per cycle on the shared command bus
         if not 0 <= command.bank < len(self.banks):
             return False
-        bank = self.banks[command.bank]
-        if command.kind is CommandKind.ACTIVATE:
-            return cycle >= self._next_act_ok and bank.can_activate(cycle)
-        if command.kind is CommandKind.PRECHARGE:
-            return bank.can_precharge(cycle)
-        # READ / WRITE
-        if command.row is not None and not bank.row_is_open(command.row, cycle):
+        if kind is CommandKind.ACTIVATE:
+            return self.act_ok(cycle, command.bank)
+        if kind is CommandKind.PRECHARGE:
+            return self.pre_ok(cycle, command.bank)
+        row = command.row
+        if row is None:
+            row = self.banks[command.bank].open_row  # None while precharged
+        return row is not None and self.cas_ok(
+            cycle, command.bank, row, kind is CommandKind.WRITE
+        )
+
+    # Per-kind predicates: :meth:`can_issue` dispatches here, and the
+    # command engine calls them directly so that it builds a
+    # :class:`DramCommand` only for a command that will issue.  Each keeps
+    # the one-command-per-cycle rule of the shared command bus.
+
+    def act_ok(self, cycle: int, bank: int) -> bool:
+        """May an ACT to ``bank`` issue at ``cycle``?"""
+        return (
+            cycle > self._last_command_cycle
+            and cycle >= self._next_act_ok
+            and self.banks[bank].can_activate(cycle)
+        )
+
+    def pre_ok(self, cycle: int, bank: int) -> bool:
+        """May a PRE to ``bank`` issue at ``cycle``?"""
+        return (
+            cycle > self._last_command_cycle
+            and self.banks[bank].can_precharge(cycle)
+        )
+
+    def cas_ok(self, cycle: int, bank: int, row: int, is_write: bool) -> bool:
+        """May a READ (or WRITE) of ``row`` in ``bank`` issue at ``cycle``?"""
+        if cycle <= self._last_command_cycle:
             return False
-        if command.row is None and bank.state is not BankState.ACTIVE:
-            return False
-        row = command.row if command.row is not None else bank.open_row
-        if row is None or not bank.can_cas(cycle, row):
+        if not self.banks[bank].can_cas(cycle, row):
             return False
         if cycle < self._next_cas_ok:
             return False
-        data_start = cycle + (
-            self.timing.write_latency if command.is_write
-            else self.timing.cas_latency
-        )
-        if data_start < self._bus_free_at:
-            return False
-        if command.is_read and self._last_write_data_end >= 0:
-            # write -> read turnaround (tWTR from last write data beat)
-            if cycle <= self._last_write_data_end + self.timing.t_wtr:
+        timing = self.timing
+        if is_write:
+            data_start = cycle + timing.write_latency
+            if data_start < self._bus_free_at:
                 return False
-        if command.is_write and self._last_read_data_end >= 0:
             # read -> write bus turnaround (data contention gap)
-            if data_start <= self._last_read_data_end + self.timing.t_rtw:
-                return False
-        return True
+            return (
+                self._last_read_data_end < 0
+                or data_start > self._last_read_data_end + timing.t_rtw
+            )
+        if cycle + timing.cas_latency < self._bus_free_at:
+            return False
+        # write -> read turnaround (tWTR from last write data beat)
+        return (
+            self._last_write_data_end < 0
+            or cycle > self._last_write_data_end + timing.t_wtr
+        )
 
     # ------------------------------------------------------------------ #
     # Issue
@@ -120,8 +145,8 @@ class SdramDevice:
 
     def issue_vetted(self, cycle: int, command: DramCommand) -> Optional[BurstCompletion]:
         """Apply a command the caller has *just* vetted with
-        :meth:`can_issue` at the same cycle — skips the redundant second
-        legality pass :meth:`issue` would run.  The independent
+        :meth:`can_issue` (or its per-kind predicate) at the same cycle —
+        skips the redundant second legality pass :meth:`issue` would run.  The independent
         :class:`~repro.dram.protocol.ProtocolChecker` still audits the
         resulting command stream in the test suite."""
         return self._apply(cycle, command)

@@ -173,3 +173,23 @@ class TestSelect:
         state = SchedulerState()
         table = TokenTable(pct=5)
         assert select(state, table, [], 0, sti_enabled=False) is None
+
+    def test_lone_candidate_failing_every_low_tier_is_returned(self):
+        """A single eligible candidate is granted even when it fails the
+        filter of every tier below MAX_TOKENS (bank conflict with h(n))."""
+        state = SchedulerState()
+        state.note_scheduled(make_request(bank=1, row=0, is_read=False))
+        lone = pkt(1, bank=1, row=2)
+        table, candidates = build([(Port.EAST, lone)])
+        assert not any(
+            passes_filter(state, lone.request, tokens, 0, True)
+            for tokens in range(table.tokens(lone), MAX_TOKENS)
+        )
+        assert select(state, table, candidates, 0, sti_enabled=True) \
+            == candidates[0]
+
+    def test_untracked_lone_candidate_raises(self):
+        stray = pkt(1)
+        with pytest.raises(KeyError):
+            select(SchedulerState(), TokenTable(pct=5), [(Port.EAST, stray)],
+                   0, sti_enabled=False)

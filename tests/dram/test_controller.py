@@ -2,9 +2,11 @@
 
 import pytest
 
+from perfbench.workloads import DEFAULT_SEED, WORKLOADS
 from tests.helpers import make_request
+from repro.core.system import build_system
 from repro.dram.controller import CommandEngine, PagePolicy
-from repro.dram.commands import CommandKind
+from repro.dram.commands import CommandKind, DramCommand
 from repro.dram.device import SdramDevice
 from repro.sim.stats import StatsCollector
 
@@ -180,3 +182,84 @@ def test_accept_validates_bank_range(ddr1_timing):
     engine = CommandEngine(device, burst_beats=8)
     with pytest.raises(ValueError, match="bank"):
         engine.accept(make_request(bank=7), 0)  # DDR I has 4 banks
+
+
+def count_chooses(engine):
+    """Record the cycle of every ``_choose_command`` call on ``engine``."""
+    calls = []
+    choose = engine._choose_command
+
+    def counted(cycle):
+        calls.append(cycle)
+        return choose(cycle)
+
+    engine._choose_command = counted
+    return calls
+
+
+class TestStallMemo:
+    def test_trcd_wait_runs_one_choose(self, device):
+        """A request waiting out tRCD runs the choosers once per stall,
+        not once per cycle; the memo is the next-attempt bound."""
+        engine = CommandEngine(device, burst_beats=8)
+        calls = count_chooses(engine)
+        engine.accept(make_request(beats=8), 0)
+        assert engine.tick(0).kind is CommandKind.ACTIVATE
+        t_rcd = device.timing.t_rcd
+        assert t_rcd >= 3  # a stall of several cycles
+        for cycle in range(1, t_rcd):
+            assert engine.tick(cycle) is None
+            assert engine.next_attempt_cycle(cycle) == t_rcd
+        assert engine.tick(t_rcd).kind is CommandKind.READ
+        assert calls == [0, 1, t_rcd]
+
+    def test_accept_clears_the_memo(self, device):
+        engine = CommandEngine(device, burst_beats=8)
+        calls = count_chooses(engine)
+        engine.accept(make_request(bank=0, beats=8), 0)
+        engine.tick(0)  # ACT bank 0
+        assert engine.tick(1) is None  # stalls on tRCD and tRRD
+        act_at = device.timing.t_rrd
+        assert act_at < device.timing.t_rcd
+        engine.accept(make_request(bank=1, row=3, beats=8), act_at)
+        command = engine.tick(act_at)
+        assert (command.kind, command.bank) == (CommandKind.ACTIVATE, 1)
+        assert calls == [0, 1, act_at]
+
+
+class TestCommandWork:
+    """Deterministic work counts of the command engine on the benchmark's
+    operating points (refresh off, as in every shipped configuration)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"commands": 0, "chooses": 0}
+        post_init = DramCommand.__post_init__
+        choose = CommandEngine._choose_command
+
+        def counted_post_init(command):
+            counts["commands"] += 1
+            post_init(command)
+
+        def counted_choose(engine, cycle):
+            counts["chooses"] += 1
+            return choose(engine, cycle)
+
+        monkeypatch.setattr(DramCommand, "__post_init__", counted_post_init)
+        monkeypatch.setattr(CommandEngine, "_choose_command", counted_choose)
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_one_command_object_per_issued_command(self, built, name):
+        system = build_system(WORKLOADS[name].config(DEFAULT_SEED))
+        assert system.subsystem.engine.refresh is None
+        system.simulator.run(3_000)
+        assert built["commands"] == system.device.issued_commands > 0
+
+    def test_conv_lookahead_chooses_on_few_cycles(self, built):
+        """The stall memo skips the choosers on cycles a stall already
+        covers: on the CONV point they run on under 40% of cycles."""
+        cycles = 10_000
+        system = build_system(WORKLOADS["conv_lookahead"].config(DEFAULT_SEED))
+        system.simulator.run(cycles)
+        assert built["chooses"] <= 0.40 * cycles

@@ -3,14 +3,19 @@
 Random request streams through the command engine must always terminate,
 conserve every request, respect the device's physical limits, and account
 the data bus exactly — regardless of bank/row patterns, burst modes, page
-policies, or request sizes.
+policies, or request sizes.  A lockstep oracle pins the engine's stall
+memo: skipping the choosers on memoized stall cycles changes no command.
 """
+
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
 from tests.helpers import make_request
 from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
+from repro.dram.protocol import ProtocolChecker
+from repro.dram.refresh import RefreshTimer
 from repro.dram.timing import DramTiming
 from repro.sim.config import DdrGeneration
 from repro.sim.stats import StatsCollector
@@ -112,3 +117,101 @@ def test_bus_never_exceeds_capacity(specs):
     total_beats = stats.useful_beats + stats.wasted_beats
     assert total_beats <= stats.busy_cycles * 2
     assert stats.busy_cycles <= stats.observed_cycles + 8
+
+
+#: (generation, clock MHz) points of the lockstep oracle.
+CLOCK_POINTS = [
+    (DdrGeneration.DDR1, 100), (DdrGeneration.DDR1, 200),
+    (DdrGeneration.DDR2, 200), (DdrGeneration.DDR2, 400),
+    (DdrGeneration.DDR3, 400), (DdrGeneration.DDR3, 800),
+]
+
+
+@st.composite
+def engine_setups(draw):
+    generation, clock = draw(st.sampled_from(CLOCK_POINTS))
+    timing = DramTiming.for_clock(generation, clock)
+    burst = draw(st.sampled_from(sorted(timing.supported_burst_beats)))
+    return dict(
+        timing=timing,
+        burst=burst,
+        otf=generation is DdrGeneration.DDR3 and burst == 8
+        and draw(st.booleans()),
+        policy=draw(st.sampled_from(list(PagePolicy))),
+        window=draw(st.sampled_from([4, 6])),
+        # First refresh due cycle (None = refresh off): early enough that
+        # a short stream crosses it.
+        refresh_due=draw(st.one_of(st.none(), st.integers(1, 300))),
+    )
+
+
+def build_engine(setup):
+    timing = setup["timing"]
+    refresh = None
+    if setup["refresh_due"] is not None:
+        refresh = RefreshTimer(timing)
+        refresh._next_due = setup["refresh_due"]
+    return CommandEngine(
+        SdramDevice(timing), burst_beats=setup["burst"],
+        page_policy=setup["policy"], otf=setup["otf"],
+        window=setup["window"], refresh=refresh,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    setup=engine_setups(),
+    stream=st.lists(
+        st.tuples(request_strategy,
+                  st.one_of(st.integers(0, 6), st.integers(0, 400))),
+        min_size=1, max_size=14,
+    ),
+)
+def test_stall_memo_matches_a_full_choose_every_cycle(setup, stream):
+    """Two engines on their own devices see the same requests at the same
+    cycles; the oracle's memo is reset before every tick, so it runs a
+    full choose each cycle.  Every cycle's command, the finished list and
+    the protocol referee's verdict must agree."""
+    timing = setup["timing"]
+    engine, oracle = build_engine(setup), build_engine(setup)
+    chooses = {"engine": 0, "oracle": 0}
+    for name, subject in (("engine", engine), ("oracle", oracle)):
+        choose = subject._choose_command
+
+        def counted(cycle, name=name, choose=choose):
+            chooses[name] += 1
+            return choose(cycle)
+
+        subject._choose_command = counted
+    pending = deque(
+        (make_request(**{
+            **spec,
+            "bank": spec["bank"] % timing.banks,
+            "beats": min(spec["beats"], 1024 - spec["column"]),
+        }), gap)
+        for spec, gap in stream
+    )
+    expected = len(pending)
+    log, finished, oracle_finished = [], [], []
+    next_accept = 0
+    cycle = 0
+    limit = 2_000 * expected + 5_000
+    while (pending or not engine.idle) and cycle < limit:
+        if pending and cycle >= next_accept and engine.has_space:
+            assert oracle.has_space
+            request, gap = pending.popleft()
+            engine.accept(request, cycle)
+            oracle.accept(request, cycle)
+            next_accept = cycle + gap
+        oracle._stalled_until = 0
+        command = engine.tick(cycle)
+        assert command == oracle.tick(cycle), f"cycle {cycle}"
+        if command is not None:
+            log.append((cycle, command))
+        finished.extend(engine.drain_finished())
+        oracle_finished.extend(oracle.drain_finished())
+        cycle += 1
+    assert len(finished) == expected
+    assert finished == oracle_finished
+    assert chooses["engine"] <= chooses["oracle"]
+    assert ProtocolChecker(timing).check(log) == []
