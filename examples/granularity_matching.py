@@ -19,11 +19,13 @@ from itertools import count
 from repro import DdrGeneration, NocDesign, SystemConfig, run_config
 from repro.core.sagm import SagmSplitter, split_plan
 from repro.dram import (
+    CommandEngine,
     DramTiming,
+    FifoScheduler,
     MemoryRequest,
+    MemorySubsystem,
     PagePolicy,
     SdramDevice,
-    ThinMemorySubsystem,
 )
 from repro.sim.stats import StatsCollector
 
@@ -33,9 +35,10 @@ def drive_device(burst_beats: int, page_policy: PagePolicy, ap_tags: bool):
     stats = StatsCollector()
     timing = DramTiming.for_clock(DdrGeneration.DDR2, 333)
     device = SdramDevice(timing, stats=stats)
-    subsystem = ThinMemorySubsystem(
+    engine = CommandEngine(
         device, burst_beats=burst_beats, page_policy=page_policy
     )
+    subsystem = MemorySubsystem(engine, FifoScheduler())
     ids = count()
     pending = [
         MemoryRequest(

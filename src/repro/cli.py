@@ -51,12 +51,12 @@ def _ddr(value: str) -> DdrGeneration:
 
 
 def _arbiter(value: str) -> str:
-    from .dram.scheduler import registered_backends
+    from .dram.subsystem import BACKENDS
 
-    if value not in registered_backends():
+    if value not in BACKENDS:
         raise argparse.ArgumentTypeError(
             f"unknown memory-arbiter backend {value!r}; choose from "
-            f"{registered_backends()}"
+            f"{sorted(BACKENDS)}"
         )
     return value
 
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     arbiters_cmd = sub.add_parser(
         "arbiters",
-        help="memory-arbiter comparison: sweep the Scheduler backends "
+        help="memory-arbiter comparison: sweep the memory backends "
         "over the (app x DDR) grid at a fixed NoC design, with a WCET "
         "column (measured p100 vs analytic bound)",
     )

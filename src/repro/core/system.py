@@ -269,7 +269,7 @@ class SocSystem:
             on_checkpoint=on_checkpoint,
         )
         return RunMetrics.from_collector(
-            self.stats, self.simulator.cycle, scheduler=self.subsystem
+            self.stats, self.simulator.cycle, subsystem=self.subsystem
         )
 
     def drain(self, max_cycles: int = 50_000) -> bool:
@@ -340,9 +340,9 @@ class SocSystem:
 
         Absorbs the ad-hoc counters scattered across the stack — NoC link
         flit/packet counts, input-buffer high-water marks, per-bank row
-        hit/miss tallies, NI admission counts, MemMax thread wins — into a
-        :class:`~repro.obs.metrics.MetricsRegistry` under dotted names
-        (``noc.*``, ``dram.*``, ``ni.*``).
+        hit/miss tallies, NI admission counts, the memory backend's stats
+        — into a :class:`~repro.obs.metrics.MetricsRegistry` under dotted
+        names (``noc.*``, ``dram.*``, ``ni.*``).
         """
         from ..noc.telemetry import register_metrics
         from ..obs.metrics import MetricsRegistry
@@ -354,18 +354,9 @@ class SocSystem:
             registry.counter(f"dram.bank{bank}.row_hits").inc(hits)
             registry.counter(f"dram.bank{bank}.row_misses").inc(misses)
         registry.counter("dram.commands").inc(self.device.issued_commands)
-        engine = getattr(self.subsystem, "engine", None)
-        if engine is not None:
-            registry.counter("dram.demand_precharges").inc(
-                engine.demand_precharges
-            )
-        scheduler = getattr(self.subsystem, "scheduler", None)
-        if scheduler is not None:
-            for index, wins in enumerate(scheduler.thread_wins):
-                registry.counter(f"dram.memmax.thread{index}.wins").inc(wins)
-        # The Scheduler-protocol stats surface: every backend exports a
-        # flat dict (service-latency series, analytic bound when present,
-        # backend-specific counters) under one dotted prefix.
+        # Every backend exports one flat dict (service-latency series,
+        # analytic bound when present, demand precharges, front-specific
+        # counters such as MemMax thread wins) under one dotted prefix.
         for key, value in sorted(self.subsystem.scheduler_stats().items()):
             registry.gauge(f"dram.scheduler.{key}").set(value)
         for interface in self.core_interfaces:

@@ -7,24 +7,22 @@ from .commands import CommandKind, DramCommand
 from .controller import CommandEngine, FinishedRequest, PagePolicy, WindowEntry
 from .databahn import DATABAHN_LOOKAHEAD, DatabahnController
 from .device import BurstCompletion, SdramDevice
-from .dpq import DpqScheduler, dpq_latency_bound, service_slot_cycles
+from .dpq import (
+    DpqScheduler,
+    dpq_latency_bound,
+    serial_engine,
+    service_slot_cycles,
+)
 from .memmax import MemMaxScheduler, ThreadQueue
 from .protocol import ProtocolChecker, Violation, audit_engine
 from .refresh import RefreshTimer
-from .scheduler import (
-    SCHEDULER_BACKENDS,
-    SCHEDULER_MEMBERS,
-    Scheduler,
-    SchedulerSeam,
-    register_scheduler,
-    registered_backends,
-    resolve_backend,
-)
 from .waveform import WaveformCapture, attach as attach_waveform
 from .request import MemoryRequest, ServiceClass
 from .subsystem import (
+    BACKENDS,
     ConvMemorySubsystem,
-    ThinMemorySubsystem,
+    FifoScheduler,
+    MemorySubsystem,
     build_memory_subsystem,
     default_backend_for,
 )
@@ -32,6 +30,7 @@ from .timing import GENERATION_TIMING, AnalogTiming, DramTiming
 
 __all__ = [
     "AddressMap",
+    "BACKENDS",
     "AnalogTiming",
     "Bank",
     "BankRegulatedScheduler",
@@ -45,22 +44,19 @@ __all__ = [
     "DpqScheduler",
     "DramCommand",
     "DramTiming",
+    "FifoScheduler",
     "FinishedRequest",
     "GENERATION_TIMING",
     "MemMaxScheduler",
+    "MemorySubsystem",
     "MemoryRequest",
     "PagePolicy",
     "ProtocolChecker",
     "RefreshTimer",
-    "SCHEDULER_BACKENDS",
-    "SCHEDULER_MEMBERS",
-    "Scheduler",
-    "SchedulerSeam",
     "Violation",
     "WaveformCapture",
     "SdramDevice",
     "ServiceClass",
-    "ThinMemorySubsystem",
     "ThreadQueue",
     "TimingViolation",
     "WindowEntry",
@@ -69,8 +65,6 @@ __all__ = [
     "build_memory_subsystem",
     "default_backend_for",
     "dpq_latency_bound",
-    "register_scheduler",
-    "registered_backends",
-    "resolve_backend",
+    "serial_engine",
     "service_slot_cycles",
 ]

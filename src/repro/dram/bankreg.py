@@ -9,14 +9,18 @@ head request would overdraw its budget for the addressed bank is stalled
 until the next window, while other masters (or the same master on other
 banks) keep flowing.
 
-The implementation keeps a private FIFO per master and releases head
-requests round-robin into an open-page :class:`CommandEngine` (the same
-engine the paper's thin subsystem uses), charging ``request.beats``
-against the ``(master, bank)`` budget at release time.  Replenishment is
-*lazy*: budgets are keyed by the window epoch ``cycle // window_cycles``
-and the spent-table is cleared whenever the epoch advances, so the
-scheme is fast-forward-safe — jumping ten windows of idle cycles needs
-no per-window bookkeeping.
+:class:`BankRegulatedScheduler` is the request front of a
+:class:`~repro.dram.subsystem.MemorySubsystem`.  It keeps a private FIFO
+per master and releases head requests round-robin into the shell's
+open-page :class:`~repro.dram.controller.CommandEngine` (the same engine
+the paper's thin subsystem uses), charging ``request.beats`` against the
+``(master, bank)`` budget at release time.  While every queued head is
+over budget, the next window boundary is the front's only wake.
+
+Replenishment is *lazy*: budgets are keyed by the window epoch
+``cycle // window_cycles`` and the spent-table is cleared whenever the
+epoch advances, so the scheme is fast-forward-safe — jumping ten windows
+of idle cycles needs no per-window bookkeeping.
 """
 
 from __future__ import annotations
@@ -24,12 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..sim.config import SystemConfig
-from .controller import CommandEngine, FinishedRequest, PagePolicy
-from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import SchedulerSeam, register_scheduler
-from .timing import DramTiming
 
 #: Regulation window length, cycles.
 REG_WINDOW_CYCLES = 256
@@ -44,17 +43,14 @@ REG_BUDGET_BEATS = 64
 REG_QUEUE_CAPACITY = 8
 
 
-class BankRegulatedScheduler(SchedulerSeam):
+class BankRegulatedScheduler:
     """Round-robin release gated by per-(master, bank) beat budgets."""
 
     def __init__(
         self,
-        device: SdramDevice,
-        timing: DramTiming,
         window_cycles: int = REG_WINDOW_CYCLES,
         budget_beats: int = REG_BUDGET_BEATS,
         queue_capacity: int = REG_QUEUE_CAPACITY,
-        tracer=None,
     ) -> None:
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
@@ -62,18 +58,9 @@ class BankRegulatedScheduler(SchedulerSeam):
             raise ValueError("budget_beats must be positive")
         if queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        self.device = device
-        self.timing = timing
         self.window_cycles = window_cycles
         self.budget_beats = budget_beats
         self.queue_capacity = queue_capacity
-        self.engine = CommandEngine(
-            device,
-            burst_beats=8,
-            page_policy=PagePolicy.OPEN_PAGE,
-            window=4,
-            tracer=tracer,
-        )
         self.queues: Dict[int, Deque[MemoryRequest]] = {}
         #: round-robin order over masters (first-seen order).
         self.order: List[int] = []
@@ -81,18 +68,14 @@ class BankRegulatedScheduler(SchedulerSeam):
         #: beats charged in the current window, keyed by (master, bank).
         self.spent: Dict[Tuple[int, int], int] = {}
         self._epoch = 0
-        self.accepted = 0
         self.releases = 0
         self.throttled_releases = 0
-        self._init_seam()
-
-    # --- request admission ------------------------------------------- #
 
     def can_accept(self, request: MemoryRequest) -> bool:
         queue = self.queues.get(request.master)
         return queue is None or len(queue) < self.queue_capacity
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+    def push(self, request: MemoryRequest) -> None:
         queue = self.queues.get(request.master)
         if queue is None:
             queue = self.queues[request.master] = deque()
@@ -100,10 +83,10 @@ class BankRegulatedScheduler(SchedulerSeam):
         if len(queue) >= self.queue_capacity:
             raise RuntimeError("regulator master queue full")
         queue.append(request)
-        self.accepted += 1
-        self._note_admitted(request, cycle)
 
-    # --- per-cycle command selection --------------------------------- #
+    @property
+    def pending(self) -> int:
+        return sum(len(queue) for queue in self.queues.values())
 
     def _refill(self, cycle: int) -> None:
         epoch = cycle // self.window_cycles
@@ -120,20 +103,11 @@ class BankRegulatedScheduler(SchedulerSeam):
         spent = self.spent.get(key, 0)
         return spent == 0 or spent + request.beats <= self.budget_beats
 
-    def tick(self, cycle: int) -> None:
-        self._refill(cycle)
-        while self.engine.has_space:
-            released = self._release()
-            if released is None:
-                break
-            self.engine.accept(released, cycle)
-        self.engine.tick(cycle)
-        self.device.tick(cycle)
-
-    def _release(self) -> Optional[MemoryRequest]:
+    def pop_next(self, cycle: int) -> Optional[MemoryRequest]:
         """Next head request within budget, round-robin over masters.
         A budget-blocked head stalls only its own master; the scan keeps
         going, so one master's storm cannot dam the others."""
+        self._refill(cycle)
         order = self.order
         count = len(order)
         for step in range(count):
@@ -153,81 +127,21 @@ class BankRegulatedScheduler(SchedulerSeam):
             return head
         return None
 
-    def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if done:
-            self._note_finished(done)
-        return done
-
-    # --- occupancy / event contract ---------------------------------- #
-
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + self.engine.pending
-
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        return (
-            not self.engine.entries
-            and not self.engine.finished
-            and all(not q for q in self.queues.values())
-        )
-
-    def _releasable(self, cycle: int) -> bool:
+    def release_cycle(self, cycle: int) -> int:
+        """Budget-blocked heads wake at the next window boundary, the
+        only instant their budget can change."""
         self._refill(cycle)
-        return any(
-            queue and self._within_budget(queue[0])
-            for queue in self.queues.values()
-        )
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Budget-blocked heads wake at the next window boundary (the
-        only instant their budget can change); everything else follows
-        the thin subsystem's pattern."""
-        if self.engine.finished:
-            return cycle + 1
-        queued = any(self.queues.values())
-        boundary = (cycle // self.window_cycles + 1) * self.window_cycles
-        if queued and self.engine.has_space:
-            if self._releasable(cycle):
+        for queue in self.queues.values():
+            if queue and self._within_budget(queue[0]):
                 return cycle + 1
-            nxt = boundary
-        else:
-            nxt = boundary if queued else None
-        if self.engine.entries:
-            engine_next = self.engine.next_attempt_cycle(cycle)
-            if nxt is None or engine_next < nxt:
-                nxt = engine_next
-        return nxt
+        return (cycle // self.window_cycles + 1) * self.window_cycles
 
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
+    def latency_bound(self) -> Optional[int]:
+        return None
 
-    # --- stats surface ----------------------------------------------- #
-
-    @property
-    def refresh(self):
-        return self.engine.refresh
-
-    def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
-        stats["accepted"] = float(self.accepted)
-        stats["releases"] = float(self.releases)
-        stats["throttled_releases"] = float(self.throttled_releases)
-        stats["masters"] = float(len(self.queues))
-        stats["demand_precharges"] = float(self.engine.demand_precharges)
-        return stats
-
-
-@register_scheduler("bank-reg")
-def build_bankreg_backend(
-    config: SystemConfig,
-    device: SdramDevice,
-    timing: DramTiming,
-    tracer=None,
-) -> BankRegulatedScheduler:
-    return BankRegulatedScheduler(device, timing, tracer=tracer)
+    def stats(self) -> Dict[str, float]:
+        return {
+            "releases": float(self.releases),
+            "throttled_releases": float(self.throttled_releases),
+            "masters": float(len(self.queues)),
+        }

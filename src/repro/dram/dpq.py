@@ -9,10 +9,13 @@ grants to any requestor, every other requestor is therefore granted at
 most once — which is the whole trick: the worst-case wait of a request is
 a *product of counts*, not a property of the traffic.
 
-Service is serial and closed-page (one request fully through a
-window-of-1 :class:`~repro.dram.controller.CommandEngine` with
-auto-precharge on the final burst), so one service slot's duration is
-bounded by the timing set alone — no row-state history can stretch it.
+:class:`DpqScheduler` is the request front of a
+:class:`~repro.dram.subsystem.MemorySubsystem`; the shell's engine is
+:func:`serial_engine`.  Service is therefore serial and closed-page (one
+request fully through a window-of-1
+:class:`~repro.dram.controller.CommandEngine` with auto-precharge on the
+final burst), so one service slot's duration is bounded by the timing
+set alone — no row-state history can stretch it.
 :func:`dpq_latency_bound` composes the two:
 
     ``bound = (Q · N + 1) · T_slot``
@@ -36,11 +39,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..sim.config import SystemConfig
-from .controller import CommandEngine, FinishedRequest, PagePolicy
+from .controller import CommandEngine, PagePolicy
 from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import SchedulerSeam, register_scheduler
 from .timing import DramTiming
 
 #: Device burst-length mode the DPQ programs (supported by every DDR
@@ -103,35 +104,34 @@ def dpq_latency_bound(
     return slots * service_slot_cycles(timing, burst_beats, max_beats)
 
 
-class DpqScheduler(SchedulerSeam):
-    """Per-requestor FIFOs + dynamic priority order, serial closed-page
-    service.  Satisfies the :class:`~repro.dram.scheduler.Scheduler`
-    protocol; :meth:`latency_bound` reports the analytic worst case for
-    the traffic actually admitted so far."""
+def serial_engine(device: SdramDevice, tracer=None) -> CommandEngine:
+    """The DPQ's service engine: window of 1, closed page — the
+    slot-duration bound depends on never having two requests in the
+    pipeline."""
+    return CommandEngine(
+        device,
+        burst_beats=DPQ_BURST_BEATS,
+        page_policy=PagePolicy.CLOSED_PAGE,
+        window=1,
+        tracer=tracer,
+    )
+
+
+class DpqScheduler:
+    """Per-requestor FIFOs + dynamic priority order: the DPQ front of a
+    :class:`~repro.dram.subsystem.MemorySubsystem` over a
+    :func:`serial_engine`.  :meth:`latency_bound` reports the analytic
+    worst case for the traffic admitted so far."""
 
     def __init__(
         self,
-        device: SdramDevice,
         timing: DramTiming,
         queue_capacity: int = DPQ_QUEUE_CAPACITY,
-        burst_beats: int = DPQ_BURST_BEATS,
-        tracer=None,
     ) -> None:
         if queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        self.device = device
         self.timing = timing
         self.queue_capacity = queue_capacity
-        self.burst_beats = burst_beats
-        # Serial service: window of 1, closed page — the slot-duration
-        # bound depends on never having two requests in the pipeline.
-        self.engine = CommandEngine(
-            device,
-            burst_beats=burst_beats,
-            page_policy=PagePolicy.CLOSED_PAGE,
-            window=1,
-            tracer=tracer,
-        )
         #: requestor id -> private FIFO (created on first admission; once
         #: seen, a requestor stays in the priority order and in ``N``).
         self.queues: Dict[int, Deque[MemoryRequest]] = {}
@@ -139,16 +139,12 @@ class DpqScheduler(SchedulerSeam):
         self.order: List[int] = []
         self.grants: Dict[int, int] = {}
         self.max_beats_seen = 0
-        self.accepted = 0
-        self._init_seam()
-
-    # --- request admission ------------------------------------------- #
 
     def can_accept(self, request: MemoryRequest) -> bool:
         queue = self.queues.get(request.master)
         return queue is None or len(queue) < self.queue_capacity
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+    def push(self, request: MemoryRequest) -> None:
         queue = self.queues.get(request.master)
         if queue is None:
             queue = self.queues[request.master] = deque()
@@ -157,23 +153,10 @@ class DpqScheduler(SchedulerSeam):
         if len(queue) >= self.queue_capacity:
             raise RuntimeError("DPQ requestor queue full")
         queue.append(request)
-        self.accepted += 1
         if request.beats > self.max_beats_seen:
             self.max_beats_seen = request.beats
-        self._note_admitted(request, cycle)
 
-    # --- per-cycle command selection --------------------------------- #
-
-    def tick(self, cycle: int) -> None:
-        while self.engine.has_space:
-            granted = self._grant()
-            if granted is None:
-                break
-            self.engine.accept(granted, cycle)
-        self.engine.tick(cycle)
-        self.device.tick(cycle)
-
-    def _grant(self) -> Optional[MemoryRequest]:
+    def pop_next(self, cycle: int) -> Optional[MemoryRequest]:
         """Pop the head of the highest-priority non-empty FIFO and drop
         that requestor to the tail of the order."""
         for position, master in enumerate(self.order):
@@ -186,48 +169,12 @@ class DpqScheduler(SchedulerSeam):
                 return request
         return None
 
-    def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if done:
-            self._note_finished(done)
-        return done
-
-    # --- occupancy / event contract ---------------------------------- #
-
     @property
     def pending(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + self.engine.pending
+        return sum(len(queue) for queue in self.queues.values())
 
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        return (
-            not self.engine.entries
-            and not self.engine.finished
-            and all(not q for q in self.queues.values())
-        )
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if self.engine.finished:
-            return cycle + 1
-        queued = any(self.queues.values())
-        if queued and self.engine.has_space:
-            return cycle + 1
-        if self.engine.entries:
-            return self.engine.next_attempt_cycle(cycle)
-        return None
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
-
-    # --- stats surface ----------------------------------------------- #
-
-    @property
-    def refresh(self):
-        return self.engine.refresh
+    def release_cycle(self, cycle: int) -> int:
+        return cycle + 1
 
     def latency_bound(self) -> Optional[int]:
         """The analytic bound for the requestor population and largest
@@ -238,25 +185,15 @@ class DpqScheduler(SchedulerSeam):
             self.timing,
             requestors=len(self.queues),
             queue_capacity=self.queue_capacity,
-            burst_beats=self.burst_beats,
+            burst_beats=DPQ_BURST_BEATS,
             max_beats=max(self.max_beats_seen, 1),
         )
 
-    def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
-        stats["accepted"] = float(self.accepted)
-        stats["requestors"] = float(len(self.queues))
-        stats["max_beats"] = float(self.max_beats_seen)
+    def stats(self) -> Dict[str, float]:
+        stats = {
+            "requestors": float(len(self.queues)),
+            "max_beats": float(self.max_beats_seen),
+        }
         for master, grants in sorted(self.grants.items()):
             stats[f"requestor{master}.grants"] = float(grants)
         return stats
-
-
-@register_scheduler("dpq")
-def build_dpq_backend(
-    config: SystemConfig,
-    device: SdramDevice,
-    timing: DramTiming,
-    tracer=None,
-) -> DpqScheduler:
-    return DpqScheduler(device, timing, tracer=tracer)

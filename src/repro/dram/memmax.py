@@ -23,7 +23,7 @@ would bank-conflict or turn the bus around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, Dict, List, Optional
 from collections import deque
 
 from ..obs.events import EventType
@@ -120,6 +120,18 @@ class MemMaxScheduler:
     @property
     def pending(self) -> int:
         return sum(len(thread) for thread in self.threads)
+
+    def release_cycle(self, cycle: int) -> int:
+        return cycle + 1
+
+    def latency_bound(self) -> Optional[int]:
+        return None
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            f"thread{index}.wins": float(wins)
+            for index, wins in enumerate(self.thread_wins)
+        }
 
     # ------------------------------------------------------------------ #
     # Arbitration

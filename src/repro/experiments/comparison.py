@@ -1,5 +1,5 @@
 """Shared machinery for the Table I / Table II design comparisons,
-plus the memory-arbiter comparison the scheduler seam enables: the same
+plus the memory-arbiter comparison over the memory backends: the same
 (application x DDR generation) grid swept over arbiter backends instead
 of NoC designs, with a WCET column pairing each backend's measured
 worst-case service latency against its analytic bound (when it has one —
@@ -104,7 +104,7 @@ def run_comparison(
 
 
 # --------------------------------------------------------------------- #
-# Arbiter comparison (scheduler-seam axis)
+# Arbiter comparison (memory-backend axis)
 # --------------------------------------------------------------------- #
 
 @dataclass

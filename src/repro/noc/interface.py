@@ -473,7 +473,7 @@ class MemoryInterface:
     def idle(self) -> bool:
         return (
             self.sink.head() is None
-            and self.subsystem.idle
+            and self.subsystem.quiescent
             and not self._ready
         )
 

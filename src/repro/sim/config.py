@@ -110,13 +110,11 @@ class SystemConfig:
     #: Attach the :class:`repro.resilience.invariants.InvariantChecker`
     #: simulator hook (token/credit conservation, packet-age bound).
     check_invariants: bool = False
-    #: Memory-arbiter backend, by registry name (see
-    #: :mod:`repro.dram.scheduler`): ``engine`` | ``memmax`` |
-    #: ``databahn`` | ``dpq`` | ``bank-reg``, or any user-registered
-    #: backend.  ``None`` — the default — keeps the paper's
-    #: design-matched subsystem (MemMax/Databahn for CONV designs, the
-    #: thin Fig. 6 controller otherwise), bit-identical to the pre-seam
-    #: code path.
+    #: Memory-arbiter backend, by name (see
+    #: :data:`repro.dram.subsystem.BACKENDS`): ``engine`` | ``memmax`` |
+    #: ``databahn`` | ``dpq`` | ``bank-reg``.  ``None`` — the default —
+    #: keeps the paper's design-matched subsystem (MemMax/Databahn for
+    #: CONV designs, the thin Fig. 6 controller otherwise).
     arbiter: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -186,17 +184,17 @@ class SystemConfig:
                     f"got {self.faults!r}",
                 )
         if self.arbiter is not None:
-            # Imported lazily: the backend modules import this module for
+            # Imported lazily: the backend builders import this module for
             # SystemConfig.  Validating here turns a misspelled backend
             # name into a ConfigError at the call site instead of a deep
             # construction-time KeyError.
-            from ..dram.scheduler import registered_backends
+            from ..dram.subsystem import BACKENDS
 
-            if self.arbiter not in registered_backends():
+            if self.arbiter not in BACKENDS:
                 raise ConfigError(
                     "arbiter",
                     f"unknown memory-arbiter backend {self.arbiter!r}; "
-                    f"registered: {registered_backends()}",
+                    f"choose from {sorted(BACKENDS)}",
                 )
         # Validate against the application registry (imported lazily so that
         # user-registered models in repro.workloads.apps.APP_MODELS count).

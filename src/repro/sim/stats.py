@@ -268,9 +268,9 @@ class RunMetrics:
 
     ``service_p100`` / ``wcet_bound`` carry the memory-arbiter WCET
     column: the measured worst-case service latency (admission → final
-    data beat, from the scheduler's always-on series) and the backend's
-    analytic bound when it has one.  Both default empty so records cached
-    before the scheduler seam still round-trip through
+    data beat, from the memory subsystem's always-on series) and the
+    backend's analytic bound when it has one.  Both default empty so
+    records cached before these fields existed still round-trip through
     ``RunMetrics(**payload)``.
     """
 
@@ -289,19 +289,16 @@ class RunMetrics:
         cls,
         stats: StatsCollector,
         cycles: int,
-        scheduler=None,
+        subsystem=None,
     ) -> "RunMetrics":
         service_p100 = 0.0
         wcet_bound: Optional[float] = None
-        if scheduler is not None:
-            series = getattr(scheduler, "service_latency", None)
-            if series is not None and series.count:
-                service_p100 = series.p100
-            bound_fn = getattr(scheduler, "latency_bound", None)
-            if bound_fn is not None:
-                bound = bound_fn()
-                if bound is not None:
-                    wcet_bound = float(bound)
+        if subsystem is not None:
+            if subsystem.service_latency.count:
+                service_p100 = subsystem.service_latency.p100
+            bound = subsystem.latency_bound()
+            if bound is not None:
+                wcet_bound = float(bound)
         return cls(
             utilization=stats.utilization,
             raw_utilization=stats.raw_utilization,

@@ -266,7 +266,7 @@ def config_grid_spec(
 # Memory-arbiter matrix
 # --------------------------------------------------------------------- #
 
-#: Every builtin Scheduler backend, in render order.
+#: Every memory-arbiter backend, in render order.
 ARBITER_MATRIX_BACKENDS = ("engine", "memmax", "databahn", "dpq", "bank-reg")
 
 

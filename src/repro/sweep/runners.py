@@ -355,7 +355,7 @@ def run_metrics_job(params: Mapping[str, object]) -> Dict[str, object]:
         on_checkpoint=snapshot,
     )
     metrics = RunMetrics.from_collector(
-        system.stats, system.simulator.cycle, scheduler=system.subsystem
+        system.stats, system.simulator.cycle, subsystem=system.subsystem
     )
     try:
         path.unlink()

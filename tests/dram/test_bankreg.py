@@ -2,81 +2,75 @@
 
 import pytest
 
-from tests.helpers import make_request
+from tests.helpers import drive, make_request
 from repro.dram.bankreg import BankRegulatedScheduler
+from repro.dram.controller import CommandEngine
 from repro.dram.device import SdramDevice
+from repro.dram.subsystem import MemorySubsystem
+
+
+def make_front(**kwargs):
+    kwargs.setdefault("window_cycles", 100)
+    kwargs.setdefault("budget_beats", 16)
+    return BankRegulatedScheduler(**kwargs)
 
 
 def make_reg(timing, **kwargs):
-    kwargs.setdefault("window_cycles", 100)
-    kwargs.setdefault("budget_beats", 16)
-    return BankRegulatedScheduler(SdramDevice(timing), timing, **kwargs)
-
-
-def drive(scheduler, requests, max_cycles=50_000):
-    pending = list(requests)
-    finished = []
-    cycle = 0
-    while (pending or not scheduler.idle) and cycle < max_cycles:
-        while pending and scheduler.can_accept(pending[0]):
-            scheduler.enqueue(pending.pop(0), cycle)
-        scheduler.tick(cycle)
-        finished.extend(scheduler.drain_finished())
-        cycle += 1
-    return finished, cycle
+    """A regulated memory subsystem; its front is ``.scheduler``."""
+    engine = CommandEngine(SdramDevice(timing), burst_beats=8)
+    return MemorySubsystem(engine, make_front(**kwargs))
 
 
 class TestBudgets:
-    def test_release_charges_master_bank_pair(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        assert reg._release() is not None
+    def test_release_charges_master_bank_pair(self):
+        reg = make_front()
+        reg.push(make_request(master=0, bank=0, beats=8))
+        assert reg.pop_next(0) is not None
         assert reg.spent[(0, 0)] == 8
 
-    def test_overdrawn_pair_blocks_until_next_window(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)  # budget 16 beats / 100 cycles
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        assert reg._release().beats == 8
-        assert reg._release().beats == 8
+    def test_overdrawn_pair_blocks_until_next_window(self):
+        reg = make_front()  # budget 16 beats / 100 cycles
+        reg.push(make_request(master=0, bank=0, beats=8))
+        reg.push(make_request(master=0, bank=0, beats=8))
+        reg.push(make_request(master=0, bank=0, beats=8))
+        assert reg.pop_next(0).beats == 8
+        assert reg.pop_next(0).beats == 8
         # Third release would overdraw (16 + 8 > 16): blocked.
-        assert reg._release() is None
+        assert reg.pop_next(0) is None
         assert reg.throttled_releases == 1
         # The window boundary replenishes the pair.
-        reg._refill(100)
-        assert reg._release() is not None
+        assert reg.pop_next(100) is not None
 
-    def test_other_bank_not_blocked(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)
+    def test_other_bank_not_blocked(self):
+        reg = make_front()
         reg.spent[(0, 0)] = 16  # pair exhausted
-        reg.enqueue(make_request(master=0, bank=1, beats=8), 0)
-        released = reg._release()
+        reg.push(make_request(master=0, bank=1, beats=8))
+        released = reg.pop_next(0)
         assert released is not None and released.bank == 1
 
-    def test_other_master_not_blocked(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)
+    def test_other_master_not_blocked(self):
+        reg = make_front()
         reg.spent[(0, 0)] = 16
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        reg.enqueue(make_request(master=1, bank=0, beats=8), 0)
-        released = reg._release()
+        reg.push(make_request(master=0, bank=0, beats=8))
+        reg.push(make_request(master=1, bank=0, beats=8))
+        released = reg.pop_next(0)
         assert released is not None and released.master == 1
         # Master 0's head stays queued, blocked on its own budget only.
         assert len(reg.queues[0]) == 1
 
-    def test_oversized_request_uses_fresh_window(self, ddr2_timing):
+    def test_oversized_request_uses_fresh_window(self):
         """A request larger than the whole budget still releases (first
         release of the window is unconditional) — no deadlock."""
-        reg = make_reg(ddr2_timing)  # budget 16
-        reg.enqueue(make_request(master=0, bank=0, beats=64), 0)
-        released = reg._release()
+        reg = make_front()  # budget 16
+        reg.push(make_request(master=0, bank=0, beats=64))
+        released = reg.pop_next(0)
         assert released is not None and released.beats == 64
         assert reg.spent[(0, 0)] == 64  # overdrawn: pair blocked now
-        reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        assert reg._release() is None
+        reg.push(make_request(master=0, bank=0, beats=8))
+        assert reg.pop_next(0) is None
 
-    def test_lazy_refill_is_fast_forward_safe(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)
+    def test_lazy_refill_is_fast_forward_safe(self):
+        reg = make_front()
         reg.spent[(0, 0)] = 16
         reg._refill(50)  # same epoch: nothing changes
         assert reg.spent
@@ -85,17 +79,17 @@ class TestBudgets:
 
 
 class TestFairnessAndWake:
-    def test_round_robin_rotates_start(self, ddr2_timing):
-        reg = make_reg(ddr2_timing)
+    def test_round_robin_rotates_start(self):
+        reg = make_front()
         for master in (0, 1, 2):
-            reg.enqueue(make_request(master=master, bank=master, beats=8), 0)
-            reg.enqueue(make_request(master=master, bank=master, beats=8), 0)
-        assert [reg._release().master for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+            reg.push(make_request(master=master, bank=master, beats=8))
+            reg.push(make_request(master=master, bank=master, beats=8))
+        assert [reg.pop_next(0).master for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_wake_at_window_boundary_when_blocked(self, ddr2_timing):
         reg = make_reg(ddr2_timing)
         reg.enqueue(make_request(master=0, bank=0, beats=8), 0)
-        reg.spent[(0, 0)] = 16  # head is budget-blocked, engine empty
+        reg.scheduler.spent[(0, 0)] = 16  # head budget-blocked, engine empty
         assert reg.next_event_cycle(42) == 100
 
     def test_wake_immediate_when_releasable(self, ddr2_timing):
@@ -107,14 +101,13 @@ class TestFairnessAndWake:
         reg = make_reg(ddr2_timing)
         assert reg.next_event_cycle(42) is None
 
-    def test_constructor_validation(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
+    def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            BankRegulatedScheduler(device, ddr2_timing, window_cycles=0)
+            BankRegulatedScheduler(window_cycles=0)
         with pytest.raises(ValueError):
-            BankRegulatedScheduler(device, ddr2_timing, budget_beats=0)
+            BankRegulatedScheduler(budget_beats=0)
         with pytest.raises(ValueError):
-            BankRegulatedScheduler(device, ddr2_timing, queue_capacity=0)
+            BankRegulatedScheduler(queue_capacity=0)
 
     def test_backpressure_per_master(self, ddr2_timing):
         reg = make_reg(ddr2_timing, queue_capacity=1)
@@ -153,6 +146,6 @@ class TestEndToEnd:
         ]
         finished, cycles = drive(reg, requests)
         assert len(finished) == 16
-        assert reg.throttled_releases > 0
+        assert reg.scheduler.throttled_releases > 0
         # 16 requests x 8 beats = 128 beats at 16/window: >= 8 windows.
         assert cycles >= 700

@@ -2,43 +2,34 @@
 
 import pytest
 
-from tests.helpers import make_request
+from tests.helpers import drive, make_request
 from repro.dram.device import SdramDevice
 from repro.dram.dpq import (
     DPQ_QUEUE_CAPACITY,
     DpqScheduler,
     dpq_latency_bound,
+    serial_engine,
     service_slot_cycles,
 )
+from repro.dram.subsystem import MemorySubsystem
 
 
 def make_dpq(timing, **kwargs):
-    return DpqScheduler(SdramDevice(timing), timing, **kwargs)
-
-
-def drive(scheduler, requests, max_cycles=50_000):
-    pending = list(requests)
-    finished = []
-    cycle = 0
-    while (pending or not scheduler.idle) and cycle < max_cycles:
-        while pending and scheduler.can_accept(pending[0]):
-            scheduler.enqueue(pending.pop(0), cycle)
-        scheduler.tick(cycle)
-        finished.extend(scheduler.drain_finished())
-        cycle += 1
-    return finished, cycle
+    """A DPQ memory subsystem; its front is ``.scheduler``."""
+    engine = serial_engine(SdramDevice(timing))
+    return MemorySubsystem(engine, DpqScheduler(timing, **kwargs))
 
 
 class TestGrantOrder:
     def test_served_requestor_drops_to_tail(self, ddr2_timing):
-        dpq = make_dpq(ddr2_timing)
+        dpq = DpqScheduler(ddr2_timing)
         for master in (0, 1, 2):
-            dpq.enqueue(make_request(master=master, bank=master), 0)
-            dpq.enqueue(make_request(master=master, bank=master), 0)
-        first = dpq._grant()
+            dpq.push(make_request(master=master, bank=master))
+            dpq.push(make_request(master=master, bank=master))
+        first = dpq.pop_next(0)
         assert first.master == 0
         assert dpq.order == [1, 2, 0]
-        second = dpq._grant()
+        second = dpq.pop_next(0)
         assert second.master == 1
         assert dpq.order == [2, 0, 1]
 
@@ -46,7 +37,7 @@ class TestGrantOrder:
         """The DPQ invariant the bound rests on: between two consecutive
         grants to one requestor, every other requestor is granted at most
         once — checked over a full saturated grant trace."""
-        dpq = make_dpq(ddr2_timing)
+        dpq = DpqScheduler(ddr2_timing)
         masters = (0, 1, 2, 3)
         trace = []
         backlog = {
@@ -56,8 +47,8 @@ class TestGrantOrder:
         for _ in range(60):
             for m in masters:  # keep every FIFO topped up
                 while backlog[m] and dpq.can_accept(backlog[m][0]):
-                    dpq.enqueue(backlog[m].pop(0), 0)
-            granted = dpq._grant()
+                    dpq.push(backlog[m].pop(0))
+            granted = dpq.pop_next(0)
             assert granted is not None
             trace.append(granted.master)
         for m in masters:
@@ -68,19 +59,18 @@ class TestGrantOrder:
                 assert len(set(between)) == len(between)
 
     def test_empty_fifo_skipped_without_reorder(self, ddr2_timing):
-        dpq = make_dpq(ddr2_timing)
-        dpq.enqueue(make_request(master=0), 0)
-        dpq.enqueue(make_request(master=1), 0)
+        dpq = DpqScheduler(ddr2_timing)
+        dpq.push(make_request(master=0))
+        dpq.push(make_request(master=1))
         # Drain master 0's only request; order is now [1, 0].
-        assert dpq._grant().master == 0
+        assert dpq.pop_next(0).master == 0
         # Master 0's FIFO is empty: grant falls through to master 1 and
         # only master 1 moves to the tail.
-        assert dpq._grant().master == 1
+        assert dpq.pop_next(0).master == 1
         assert dpq.order == [0, 1]
 
     def test_grant_none_when_all_empty(self, ddr2_timing):
-        dpq = make_dpq(ddr2_timing)
-        assert dpq._grant() is None
+        assert DpqScheduler(ddr2_timing).pop_next(0) is None
 
 
 class TestService:
@@ -97,6 +87,7 @@ class TestService:
         assert len(finished) == 9
         assert dpq.quiescent
         stats = dpq.scheduler_stats()
+        assert stats["demand_precharges"] == 0.0  # auto-precharge only
         assert stats["requestors"] == 3.0
         assert sum(
             stats[f"requestor{m}.grants"] for m in range(3)
@@ -113,7 +104,7 @@ class TestService:
 
     def test_queue_capacity_positive(self, ddr2_timing):
         with pytest.raises(ValueError):
-            make_dpq(ddr2_timing, queue_capacity=0)
+            DpqScheduler(ddr2_timing, queue_capacity=0)
 
 
 class TestBound:

@@ -15,10 +15,11 @@ service latency (p100, admission → final data beat) never exceeds
 
 from hypothesis import given, settings, strategies as st
 
-from tests.helpers import make_request
+from tests.helpers import drive, make_request
 from repro.core.system import build_system
 from repro.dram.device import SdramDevice
-from repro.dram.dpq import DpqScheduler
+from repro.dram.dpq import DpqScheduler, serial_engine
+from repro.dram.subsystem import MemorySubsystem
 from repro.dram.timing import DramTiming
 from repro.resilience.faults import FaultConfig
 from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
@@ -51,7 +52,9 @@ def test_bound_holds_direct_drive(point, stream, queue_capacity):
     ddr, mhz = point
     timing = DramTiming.for_clock(ddr, mhz)
     device = SdramDevice(timing)
-    dpq = DpqScheduler(device, timing, queue_capacity=queue_capacity)
+    dpq = MemorySubsystem(
+        serial_engine(device), DpqScheduler(timing, queue_capacity)
+    )
     banks = len(device.banks)  # 4 on DDR1, 8 on DDR2/DDR3
     pending = [
         make_request(
@@ -60,14 +63,7 @@ def test_bound_holds_direct_drive(point, stream, queue_capacity):
         for m, b, r, beats, rd in stream
     ]
     total = len(pending)
-    finished = []
-    cycle = 0
-    while (pending or not dpq.idle) and cycle < 500_000:
-        while pending and dpq.can_accept(pending[0]):
-            dpq.enqueue(pending.pop(0), cycle)
-        dpq.tick(cycle)
-        finished.extend(dpq.drain_finished())
-        cycle += 1
+    finished, _ = drive(dpq, pending, max_cycles=500_000)
     assert len(finished) == total, "DPQ failed to drain the stream"
     bound = dpq.latency_bound()
     assert bound is not None

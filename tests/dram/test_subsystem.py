@@ -2,42 +2,41 @@
 
 import pytest
 
-from tests.helpers import make_request
-from repro.dram.controller import PagePolicy
+from tests.helpers import drive, make_request
+from repro.dram.controller import CommandEngine, PagePolicy
+from repro.dram.databahn import DatabahnController
 from repro.dram.device import SdramDevice
+from repro.dram.memmax import MemMaxScheduler
 from repro.dram.subsystem import (
     ConvMemorySubsystem,
-    ThinMemorySubsystem,
+    FifoScheduler,
+    MemorySubsystem,
     build_memory_subsystem,
 )
 from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
 
 
-def drive(subsystem, requests, max_cycles=5000):
-    pending = list(requests)
-    finished = []
-    cycle = 0
-    while (pending or not subsystem.idle) and cycle < max_cycles:
-        while pending and subsystem.can_accept(pending[0]):
-            subsystem.enqueue(pending.pop(0), cycle)
-        subsystem.tick(cycle)
-        finished.extend(subsystem.drain_finished())
-        cycle += 1
-    return finished, cycle
+def thin(timing, capacity=4):
+    """The thin in-order controller: a FIFO front over a BL 8 engine."""
+    engine = CommandEngine(SdramDevice(timing), burst_beats=8)
+    return MemorySubsystem(engine, FifoScheduler(capacity))
+
+
+def conv(timing):
+    device = SdramDevice(timing)
+    return ConvMemorySubsystem(DatabahnController(device), MemMaxScheduler())
 
 
 class TestThinSubsystem:
     def test_serves_batch_in_order(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
-        subsystem = ThinMemorySubsystem(device)
+        subsystem = thin(ddr2_timing)
         requests = [make_request(bank=i % 4, row=i, beats=8) for i in range(10)]
         ids = [r.request_id for r in requests]
         finished, _ = drive(subsystem, requests)
         assert [f.request.request_id for f in finished] == ids
 
     def test_backpressure_when_full(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
-        subsystem = ThinMemorySubsystem(device, input_capacity=2)
+        subsystem = thin(ddr2_timing, capacity=2)
         subsystem.enqueue(make_request(), 0)
         subsystem.enqueue(make_request(), 0)
         assert not subsystem.can_accept(make_request())
@@ -46,40 +45,32 @@ class TestThinSubsystem:
 
     def test_input_capacity_positive(self, ddr2_timing):
         with pytest.raises(ValueError):
-            ThinMemorySubsystem(SdramDevice(ddr2_timing), input_capacity=0)
+            FifoScheduler(0)
 
     def test_idle_reflects_pending_work(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
-        subsystem = ThinMemorySubsystem(device)
-        assert subsystem.idle
+        subsystem = thin(ddr2_timing)
+        assert subsystem.quiescent
         subsystem.enqueue(make_request(), 0)
-        assert not subsystem.idle
+        assert not subsystem.quiescent
 
 
 class TestConvSubsystem:
     def test_serves_batch(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
-        subsystem = ConvMemorySubsystem(device)
+        subsystem = conv(ddr2_timing)
         requests = [make_request(master=i % 4, bank=i % 8, beats=8)
                     for i in range(12)]
         finished, _ = drive(subsystem, requests)
         assert len(finished) == 12
 
     def test_pipeline_latency_added(self, ddr2_timing):
-        thin_device = SdramDevice(ddr2_timing)
-        conv_device = SdramDevice(ddr2_timing)
-        thin = ThinMemorySubsystem(thin_device)
-        conv = ConvMemorySubsystem(conv_device)
-        request = make_request(beats=8)
-        thin_done, _ = drive(thin, [make_request(beats=8)])
-        conv_done, _ = drive(conv, [make_request(beats=8)])
+        thin_done, _ = drive(thin(ddr2_timing), [make_request(beats=8)])
+        conv_done, _ = drive(conv(ddr2_timing), [make_request(beats=8)])
         extra = conv_done[0].data_ready_cycle - thin_done[0].data_ready_cycle
         staging = (8 + 1) // 2
         assert extra == ConvMemorySubsystem.PIPELINE_LATENCY + staging
 
     def test_large_write_admitted(self, ddr2_timing):
-        device = SdramDevice(ddr2_timing)
-        subsystem = ConvMemorySubsystem(device)
+        subsystem = conv(ddr2_timing)
         big = make_request(is_read=False, beats=64)
         assert subsystem.can_accept(big)
         finished, _ = drive(subsystem, [big])
@@ -101,7 +92,7 @@ class TestBuilder:
     def test_sdram_aware_gets_thin_open_page(self):
         config = SystemConfig(design=NocDesign.SDRAM_AWARE)
         _, subsystem = build_memory_subsystem(config)
-        assert isinstance(subsystem, ThinMemorySubsystem)
+        assert isinstance(subsystem.scheduler, FifoScheduler)
         assert subsystem.engine.page_policy is PagePolicy.OPEN_PAGE
         assert subsystem.engine.burst_beats == 8
 

@@ -47,3 +47,18 @@ def advance(mode: str, simulator, cycles: int) -> None:
     while simulator.cycle < end:
         simulator.step()
         simulator.run(min(99, end - simulator.cycle))
+
+
+def drive(subsystem, requests, max_cycles=50_000):
+    """Feed ``requests`` into a memory subsystem as backpressure allows
+    and tick it until it is quiescent; returns (finished, cycles)."""
+    pending = list(requests)
+    finished = []
+    cycle = 0
+    while (pending or not subsystem.quiescent) and cycle < max_cycles:
+        while pending and subsystem.can_accept(pending[0]):
+            subsystem.enqueue(pending.pop(0), cycle)
+        subsystem.tick(cycle)
+        finished.extend(subsystem.drain_finished())
+        cycle += 1
+    return finished, cycle

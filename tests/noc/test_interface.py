@@ -7,7 +7,8 @@ import pytest
 from tests.helpers import make_request
 from repro.core.sagm import SagmSplitter
 from repro.dram.device import SdramDevice
-from repro.dram.subsystem import ThinMemorySubsystem
+from repro.dram.controller import CommandEngine
+from repro.dram.subsystem import FifoScheduler, MemorySubsystem
 from repro.dram.timing import DramTiming
 from repro.noc.buffers import InputBuffer
 from repro.noc.interface import CoreInterface, MemoryInterface
@@ -103,7 +104,9 @@ class TestCoreInterface:
 def build_memory_interface(ddr=DdrGeneration.DDR2, clock=333):
     timing = DramTiming.for_clock(ddr, clock)
     device = SdramDevice(timing)
-    subsystem = ThinMemorySubsystem(device)
+    subsystem = MemorySubsystem(
+        CommandEngine(device, burst_beats=8), FifoScheduler()
+    )
     sink = InputBuffer(64)
     injection = InputBuffer(256)
     ni = MemoryInterface(
@@ -160,7 +163,7 @@ class TestMemoryInterface:
     def test_admission_respects_subsystem_backpressure(self):
         from repro.noc.packet import request_packet
         ni, sink, injection = build_memory_interface()
-        capacity = ni.subsystem.input_capacity
+        capacity = ni.subsystem.scheduler.capacity
         for i in range(capacity + 3):
             packet = request_packet(i, make_request(beats=8), 1, 0, 0)
             if sink.can_inject(packet):

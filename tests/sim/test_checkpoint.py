@@ -209,7 +209,7 @@ def test_resume_identity_every_arbiter(tmp_path, arbiter, faults):
         observed["metrics"] = dataclasses.asdict(
             RunMetrics.from_collector(
                 system.stats, system.simulator.cycle,
-                scheduler=system.subsystem,
+                subsystem=system.subsystem,
             )
         )
         observed["scheduler"] = system.subsystem.scheduler_stats()

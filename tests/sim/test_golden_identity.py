@@ -98,7 +98,7 @@ def _run_mode(mode: str, design: NocDesign, faults) -> dict:
         "naive" if mode == "naive" else "event"
     )
     return dataclasses.asdict(RunMetrics.from_collector(
-        system.stats, system.simulator.cycle, scheduler=system.subsystem
+        system.stats, system.simulator.cycle, subsystem=system.subsystem
     ))
 
 
