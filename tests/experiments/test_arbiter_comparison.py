@@ -11,15 +11,16 @@ from repro.experiments.comparison import (
 )
 from repro.experiments.runner import AveragedMetrics
 from repro.sim.config import DdrGeneration, NocDesign
+from tests.experiments.golden_exhibits import arbiter_section, assert_matches
 
 TINY = dict(cycles=1_500, warmup=300, seeds=(2010,))
+ARBITERS = ("engine", "dpq")
+APPS = ("single_dtv",)
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_arbiter_comparison(
-        arbiters=("engine", "dpq"), apps=("single_dtv",), **TINY
-    )
+    return run_arbiter_comparison(arbiters=ARBITERS, apps=APPS, **TINY)
 
 
 class TestRun:
@@ -45,6 +46,9 @@ class TestRun:
         averages = small_result.averages()
         assert set(averages) == {"engine", "dpq"}
         assert averages["engine"]["utilization"] > 0
+
+    def test_cells_match_golden(self, small_result):
+        assert_matches("arbiter_comparison", arbiter_section(small_result))
 
     def test_default_arbiters_are_all_builtins(self):
         assert DEFAULT_ARBITERS == (

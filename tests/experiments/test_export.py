@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.export import (
     comparison_to_dict,
     export_all,
@@ -11,6 +13,7 @@ from repro.experiments.export import (
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.table1 import run_table1
 from repro.experiments.table3 import run_table3
+from tests.experiments.golden_exhibits import assert_matches, export_section
 
 TINY = dict(cycles=1_200, warmup=200, seeds=(2010,))
 
@@ -34,9 +37,14 @@ def test_fig8_serializes():
     json.dumps(data)
 
 
-def test_export_all_writes_document(tmp_path):
-    path = tmp_path / "results.json"
-    document = export_all(path, **TINY)
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "results.json"
+    return path, export_all(path, **TINY)
+
+
+def test_export_all_writes_document(exported):
+    path, document = exported
     assert path.exists()
     loaded = json.loads(path.read_text())
     assert set(loaded) == {
@@ -44,3 +52,8 @@ def test_export_all_writes_document(tmp_path):
     }
     assert loaded["table4"]["noc_3x3"]["conv"] > 0
     assert document["table1"]["averages"]
+
+
+def test_exported_exhibits_match_golden(exported):
+    _, document = exported
+    assert_matches("export", export_section(document))

@@ -13,12 +13,15 @@ from repro.experiments.fault_sweep import (
     run_fault_sweep,
 )
 
+from tests.experiments.golden_exhibits import assert_matches, fault_section
+
 TINY = dict(cycles=1_500, warmup=300)
+RATES = (0.0, 1e-3)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_fault_sweep(rates=(0.0, 1e-3), **TINY)
+    return run_fault_sweep(rates=RATES, **TINY)
 
 
 class TestSweep:
@@ -52,6 +55,9 @@ class TestSweep:
         assert "unres" in text
         assert len(text.splitlines()) == 2 + len(sweep)
         assert "[HUNG]" not in text
+
+    def test_points_match_golden(self, sweep):
+        assert_matches("fault_sweep", fault_section(sweep))
 
 
 class TestAccountedProperty:
