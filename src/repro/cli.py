@@ -851,16 +851,11 @@ def _render_grid_table(report) -> str:
 def _cmd_sweep(args) -> int:
     import json
 
-    from .experiments import fault_sweep as fault_sweep_mod
-    from .experiments.fig8 import render as render_fig8
+    from .experiments import fault_sweep
     from .sweep import (
         ProgressPrinter,
         ResultStore,
         config_grid_spec,
-        fault_points,
-        fault_sweep_spec,
-        fig8_curves,
-        fig8_jobs,
         run_sweep,
     )
 
@@ -909,46 +904,45 @@ def _cmd_sweep(args) -> int:
                     file=sys.stderr,
                 )
 
+    # The exhibit tables render through the exhibit functions against
+    # the store the sweep just filled, so every cell they read is a hit.
     if args.grid == "fault":
-        kwargs = dict(seeds=tuple(args.seeds), app=args.app)
+        kwargs = dict(app=args.app, cycles=args.cycles, warmup=args.warmup)
         if args.rates is not None:
             kwargs["rates"] = tuple(args.rates)
-        if args.cycles is not None:
-            kwargs["cycles"] = args.cycles
-        if args.warmup is not None:
-            kwargs["warmup"] = args.warmup
         if args.drain_cycles is not None:
             kwargs["drain_cycles"] = args.drain_cycles
-        spec = fault_sweep_spec(**kwargs)
-        report = run_jobs(spec)
+        report = run_jobs(
+            fault_sweep.fault_sweep_spec(seeds=tuple(args.seeds), **kwargs)
+        )
         if args.format == "json":
             print(json.dumps(_sweep_document(report), indent=1))
         elif report.interrupted:
             print(report.summary())
         else:
             for seed in args.seeds:
-                rows = [p for s, p in fault_points(store, spec) if s == seed]
+                points = fault_sweep.run_fault_sweep(
+                    seed=seed, store=store, **kwargs
+                )
                 print(f"seed {seed}")
-                print(fault_sweep_mod.render(rows))
+                print(fault_sweep.render(points))
                 print()
             print(report.summary())
     elif args.grid == "fig8":
-        kwargs = {}
-        if args.cycles is not None:
-            kwargs["cycles"] = args.cycles
-        if args.warmup is not None:
-            kwargs["warmup"] = args.warmup
+        kwargs = dict(
+            cycles=args.cycles, warmup=args.warmup,
+            max_routers=args.max_routers,
+        )
         if args.seeds is not None:
             kwargs["seeds"] = tuple(args.seeds)
-        if args.max_routers is not None:
-            kwargs["max_routers"] = args.max_routers
-        report = run_jobs(fig8_jobs(**kwargs))
+        report = run_jobs(fig8.fig8_jobs(**kwargs))
         if args.format == "json":
             print(json.dumps(_sweep_document(report), indent=1))
-        elif report.interrupted:
+        elif report.interrupted or report.failed:
+            # A figure over failed points would re-simulate them here.
             print(report.summary())
         else:
-            print(render_fig8(fig8_curves(store, **kwargs)))
+            print(fig8.render(fig8.run_fig8(store=store, **kwargs)))
             print()
             print(report.summary())
     else:  # generic SystemConfig grid
@@ -998,7 +992,11 @@ def _cmd_sweep(args) -> int:
     return 1 if report.failed else 0
 
 
-def _render_all(kwargs) -> None:
+def _cmd_all(args) -> None:
+    from .sweep.store import ResultStore
+
+    store = None if args.no_cache else ResultStore(args.store)
+    kwargs = dict(_seeds(args), store=store)
     print(table1.render(table1.run_table1(**kwargs)))
     print()
     print(table2.render(table2.run_table2(**kwargs)))
@@ -1010,24 +1008,12 @@ def _render_all(kwargs) -> None:
     print(table5.render())
     print()
     print(fig8.render(fig8.run_fig8(**kwargs)))
-
-
-def _cmd_all(args) -> None:
-    kwargs = _seeds(args)
-    if args.no_cache:
-        _render_all(kwargs)
-        return
-    from .experiments.runner import cached_runs
-    from .sweep.store import ResultStore
-
-    store = ResultStore(args.store)
-    with cached_runs(store):
-        _render_all(kwargs)
-    print()
-    print(
-        f"result store  : {args.store} "
-        f"({store.hits} hit(s), {store.misses} simulated)"
-    )
+    if store is not None:
+        print()
+        print(
+            f"result store  : {args.store} "
+            f"({store.hits} hit(s), {store.misses} simulated)"
+        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1084,17 +1070,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.apps is not None:
             kwargs["apps"] = tuple(args.apps)
         if args.store is not None:
-            from .experiments.runner import cached_runs
             from .sweep.store import ResultStore
 
-            with cached_runs(ResultStore(args.store)):
-                result = run_arbiter_comparison(
-                    design=args.design, priority=args.priority, **kwargs
-                )
-        else:
-            result = run_arbiter_comparison(
-                design=args.design, priority=args.priority, **kwargs
-            )
+            kwargs["store"] = ResultStore(args.store)
+        result = run_arbiter_comparison(
+            design=args.design, priority=args.priority, **kwargs
+        )
         print(render_arbiter_comparison(result))
         if result.bound_violations():
             return 1

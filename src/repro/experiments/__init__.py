@@ -8,20 +8,18 @@ from .fault_sweep import (
     DRAIN_CYCLES,
     FAULT_SWEEP_RATES,
     FaultSweepPoint,
+    fault_sweep_spec,
     run_fault_point,
     run_fault_sweep,
 )
-from .fig8 import FIG8_POINTS, Fig8Curve, knee_index, run_fig8
+from .fig8 import FIG8_POINTS, Fig8Curve, fig8_jobs, knee_index, run_fig8
 from .runner import (
     AveragedMetrics,
     DEFAULT_CYCLES,
     DEFAULT_SEEDS,
     DEFAULT_WARMUP,
-    active_store,
-    cached_runs,
     experiment_config,
-    run_averaged,
-    run_once,
+    run_configs,
 )
 from .table1 import TABLE1_DESIGNS, run_table1
 from .table2 import TABLE2_DESIGNS, Table2Result, run_table2
@@ -53,16 +51,15 @@ __all__ = [
     "TABLE3_POINTS",
     "Table2Result",
     "Table3Row",
-    "active_store",
-    "cached_runs",
     "experiment_config",
+    "fault_sweep_spec",
+    "fig8_jobs",
     "knee_index",
-    "run_averaged",
     "run_comparison",
+    "run_configs",
     "run_fault_point",
     "run_fault_sweep",
     "run_fig8",
-    "run_once",
     "run_table1",
     "run_table2",
     "run_table3",

@@ -8,17 +8,56 @@ the DPQ arbiter's whole selling point)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..dram.subsystem import BACKENDS
 from ..sim.config import DdrGeneration, NocDesign, PAPER_CLOCK_POINTS
+from ..sweep.store import ResultStore
 from .report import format_table
-from .runner import AveragedMetrics, DEFAULT_SEEDS, experiment_config, run_averaged
+from .runner import (
+    AveragedMetrics,
+    DEFAULT_SEEDS,
+    experiment_config,
+    run_seed_averaged,
+)
 
 #: Metric keys reported per design in Tables I-III.
 METRICS = ("utilization", "latency_all", "latency_demand")
 
 #: The backends the arbiter comparison sweeps by default (every builtin).
-DEFAULT_ARBITERS = ("engine", "memmax", "databahn", "dpq", "bank-reg")
+DEFAULT_ARBITERS = tuple(BACKENDS)
+
+
+def _walk_paper_points(
+    axis: str,
+    values: Sequence[object],
+    seeds: Iterable[int],
+    store: Optional[ResultStore],
+    apps: Optional[Sequence[str]] = None,
+    **fixed,
+) -> List[Tuple[str, DdrGeneration, int, object, AveragedMetrics]]:
+    """Seed-averaged metrics per (app x DDR generation x ``axis`` value).
+
+    ``axis`` is the config field the compared columns differ in (the
+    NoC design, or the arbiter backend); ``fixed`` holds the others.
+    Returns ``(app, ddr, clock, value, metrics)`` with the value
+    innermost — the cell order of every comparison table.
+    """
+    cells = [
+        (app, ddr, mhz, value)
+        for app, clocks in PAPER_CLOCK_POINTS.items()
+        if apps is None or app in apps
+        for ddr, mhz in clocks.items()
+        for value in values
+    ]
+    configs = [
+        experiment_config(
+            app=app, ddr=ddr, clock_mhz=mhz, **{axis: value}, **fixed
+        )
+        for app, ddr, mhz, value in cells
+    ]
+    averaged = run_seed_averaged(configs, seeds, store)
+    return [cell + (metrics,) for cell, metrics in zip(cells, averaged)]
 
 
 @dataclass
@@ -77,30 +116,17 @@ def run_comparison(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    store: Optional[ResultStore] = None,
 ) -> ComparisonResult:
     """Simulate every (app x DDR generation x design) cell of Section V."""
-    result = ComparisonResult(designs=list(designs))
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    for app, points in PAPER_CLOCK_POINTS.items():
-        for ddr, mhz in points.items():
-            for design in designs:
-                config = experiment_config(
-                    app=app,
-                    ddr=ddr,
-                    clock_mhz=mhz,
-                    design=design,
-                    priority_enabled=priority,
-                    **overrides,
-                )
-                metrics = run_averaged(config, seeds=seeds)
-                result.cells.append(
-                    ComparisonCell(app, ddr, mhz, design, metrics)
-                )
-    return result
+    cells = _walk_paper_points(
+        "design", designs, seeds, store,
+        priority_enabled=priority, cycles=cycles, warmup=warmup,
+    )
+    return ComparisonResult(
+        designs=list(designs),
+        cells=[ComparisonCell(*cell) for cell in cells],
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -163,6 +189,7 @@ def run_arbiter_comparison(
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
     apps: Optional[Sequence[str]] = None,
+    store: Optional[ResultStore] = None,
 ) -> ArbiterComparisonResult:
     """Sweep the memory-arbiter axis over the (app x DDR) grid.
 
@@ -172,31 +199,16 @@ def run_arbiter_comparison(
     SDRAM arbiters" question.  ``apps`` restricts the application rows
     (the CI smoke job runs a single app).
     """
-    result = ArbiterComparisonResult(design=design, arbiters=list(arbiters))
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    for app, points in PAPER_CLOCK_POINTS.items():
-        if apps is not None and app not in apps:
-            continue
-        for ddr, mhz in points.items():
-            for arbiter in arbiters:
-                config = experiment_config(
-                    app=app,
-                    ddr=ddr,
-                    clock_mhz=mhz,
-                    design=design,
-                    priority_enabled=priority,
-                    arbiter=arbiter,
-                    **overrides,
-                )
-                metrics = run_averaged(config, seeds=seeds)
-                result.cells.append(
-                    ArbiterCell(app, ddr, mhz, arbiter, metrics)
-                )
-    return result
+    cells = _walk_paper_points(
+        "arbiter", arbiters, seeds, store, apps=apps,
+        design=design, priority_enabled=priority,
+        cycles=cycles, warmup=warmup,
+    )
+    return ArbiterComparisonResult(
+        design=design,
+        arbiters=list(arbiters),
+        cells=[ArbiterCell(*cell) for cell in cells],
+    )
 
 
 def render_arbiter_comparison(

@@ -15,20 +15,24 @@ resilience machinery is not even built, so that row is bit-identical to
 the plain system and any difference against it is attributable to the
 faults, not the instrumentation.
 
-:func:`run_fault_point` is the single-point path the sweep
-orchestrator's ``fault-point`` job runner executes verbatim
-(:mod:`repro.sweep.runners`), which is what makes a sharded
-``repro sweep fault`` bit-identical to this serial driver.
+:func:`run_fault_point` simulates one point; the sweep orchestrator's
+``fault-point`` job runner (:mod:`repro.sweep.runners`) executes it.
+:func:`run_fault_sweep` resolves the :func:`fault_sweep_spec` grid
+through that runner, so ``repro faults`` and a sharded
+``repro sweep fault`` read the same store records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from ..core.system import build_system
 from ..resilience.faults import FaultConfig
-from .runner import experiment_config
+from ..sweep.orchestrator import run_sweep
+from ..sweep.spec import SweepSpec
+from ..sweep.store import ResultStore
+from .runner import DEFAULT_CYCLES, DEFAULT_WARMUP, experiment_config
 
 #: Default sweep: clean control plus three decades of fault rate.
 FAULT_SWEEP_RATES = (0.0, 1e-4, 1e-3, 1e-2)
@@ -98,13 +102,10 @@ def run_fault_point(
     drain_cycles: int = DRAIN_CYCLES,
 ) -> FaultSweepPoint:
     """Simulate one fault rate on the paper's default GSS+SAGM point."""
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
     faults = FaultConfig.uniform(rate) if rate > 0.0 else None
-    config = experiment_config(app=app, seed=seed, faults=faults, **overrides)
+    config = experiment_config(
+        app=app, seed=seed, faults=faults, cycles=cycles, warmup=warmup
+    )
     system = build_system(config)
     metrics = system.run()
     quiesced = system.drain(drain_cycles)
@@ -140,6 +141,29 @@ def run_fault_point(
     )
 
 
+def fault_sweep_spec(
+    rates: Sequence[float] = FAULT_SWEEP_RATES,
+    seeds: Sequence[int] = (2010,),
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+    app: str = "single_dtv",
+    drain_cycles: int = DRAIN_CYCLES,
+) -> SweepSpec:
+    """The fault grid: seed (outer) × rate (inner), one ``fault-point``
+    job each, with the horizon resolved into the key material."""
+    return SweepSpec(
+        name="fault-sweep",
+        kind="fault-point",
+        base={
+            "app": app,
+            "cycles": cycles if cycles is not None else DEFAULT_CYCLES,
+            "warmup": warmup if warmup is not None else DEFAULT_WARMUP,
+            "drain_cycles": drain_cycles,
+        },
+        axes={"seed": list(seeds), "rate": list(rates)},
+    )
+
+
 def run_fault_sweep(
     rates: Iterable[float] = FAULT_SWEEP_RATES,
     cycles: Optional[int] = None,
@@ -147,19 +171,28 @@ def run_fault_sweep(
     seed: int = 2010,
     app: str = "single_dtv",
     drain_cycles: int = DRAIN_CYCLES,
+    store: Optional[ResultStore] = None,
 ) -> List[FaultSweepPoint]:
-    """Run the sweep on the paper's default GSS+SAGM operating point."""
-    return [
-        run_fault_point(
-            rate,
-            cycles=cycles,
-            warmup=warmup,
-            seed=seed,
-            app=app,
-            drain_cycles=drain_cycles,
-        )
-        for rate in rates
-    ]
+    """Run the sweep on the paper's default GSS+SAGM operating point.
+
+    Points are served from ``store`` when it holds them (memory-only by
+    default).  A hung or unaccounted point is a *failed* record that
+    still carries its metrics; it is served like any other, since the
+    simulator reproduces it exactly, and comes back with
+    :meth:`FaultSweepPoint.failure_reason` set.
+    """
+    jobs = fault_sweep_spec(
+        tuple(rates), (seed,), cycles, warmup, app, drain_cycles
+    ).expand()
+    report = run_sweep(jobs, store=store)
+    records = {outcome.job.key: outcome.record for outcome in report.outcomes}
+    points: List[FaultSweepPoint] = []
+    for job in jobs:
+        record = records[job.key]
+        if record["result"] is None:
+            raise RuntimeError(f"{job.label} failed: {record['error']}")
+        points.append(FaultSweepPoint(**record["result"]))
+    return points
 
 
 def render(points: List[FaultSweepPoint]) -> str:

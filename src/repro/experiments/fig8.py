@@ -17,10 +17,14 @@ three GSS flow controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List, Optional, Sequence
 
-from ..sim.config import DdrGeneration, NocDesign
-from .runner import AveragedMetrics, DEFAULT_SEEDS, experiment_config, run_averaged
+from ..sim.config import DdrGeneration, NocDesign, SystemConfig
+from ..sweep.runners import metrics_job
+from ..sweep.spec import Job
+from ..sweep.store import ResultStore
+from ..workloads.apps import get_app_model
+from .runner import DEFAULT_SEEDS, experiment_config, run_seed_averaged
 
 #: Fig. 8 operating points: (application, DDR generation, clock MHz).
 FIG8_POINTS = [
@@ -45,24 +49,52 @@ class Fig8Curve:
 
 def gss_router_counts(app: str, max_routers: int | None = None) -> List[int]:
     """The router counts swept for ``app`` (0 .. mesh size, capped)."""
-    mesh_nodes = 16 if app == "dual_dtv" else 9
+    mesh_nodes = get_app_model(app).num_nodes
     top = mesh_nodes if max_routers is None else min(max_routers, mesh_nodes)
     return list(range(0, top + 1))
 
 
-def fig8_config(app: str, ddr: DdrGeneration, mhz: int, k: int, **overrides):
-    """The configuration of one Fig. 8 point: ``k`` GSS routers on the
-    ``app`` operating point.  Shared with the sweep grid definition in
-    :mod:`repro.sweep.grids` so both paths enumerate identical configs."""
-    return experiment_config(
-        app=app,
-        ddr=ddr,
-        clock_mhz=mhz,
-        design=NocDesign.GSS_SAGM,
-        priority_enabled=True,
-        num_gss_routers=k,
-        **overrides,
-    )
+def _fig8_configs(
+    cycles: Optional[int], warmup: Optional[int], max_routers: Optional[int]
+) -> List[SystemConfig]:
+    """One configuration per (operating point, GSS router count), in
+    curve order."""
+    return [
+        experiment_config(
+            app=app,
+            ddr=ddr,
+            clock_mhz=mhz,
+            design=NocDesign.GSS_SAGM,
+            priority_enabled=True,
+            num_gss_routers=k,
+            cycles=cycles,
+            warmup=warmup,
+        )
+        for app, ddr, mhz in FIG8_POINTS
+        for k in gss_router_counts(app, max_routers)
+    ]
+
+
+def fig8_jobs(
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+    seeds: Sequence[int] = DEFAULT_SEEDS,
+    max_routers: Optional[int] = None,
+) -> List[Job]:
+    """One ``metrics`` job per (operating point, router count, seed).
+
+    The jobs :func:`run_fig8` resolves, flattened so the orchestrator
+    can shard the whole figure across cores (``repro sweep fig8``); a
+    figure rendered afterwards against the same store is all cache hits.
+    """
+    return [
+        metrics_job(
+            config.with_(seed=seed),
+            label=f"{config.app}/gss={config.num_gss_routers}/seed={seed}",
+        )
+        for config in _fig8_configs(cycles, warmup, max_routers)
+        for seed in seeds
+    ]
 
 
 def run_fig8(
@@ -70,27 +102,25 @@ def run_fig8(
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
     max_routers: int | None = None,
+    store: Optional[ResultStore] = None,
 ) -> List[Fig8Curve]:
     """Regenerate the three Fig. 8 sweeps."""
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
+    averaged = iter(
+        run_seed_averaged(
+            _fig8_configs(cycles, warmup, max_routers), seeds, store
+        )
+    )
     curves: List[Fig8Curve] = []
     for app, ddr, mhz in FIG8_POINTS:
         counts = gss_router_counts(app, max_routers)
-        utilization: List[float] = []
-        latency_all: List[float] = []
-        latency_priority: List[float] = []
-        for k in counts:
-            config = fig8_config(app, ddr, mhz, k, **overrides)
-            metrics = run_averaged(config, seeds=seeds)
-            utilization.append(metrics.utilization)
-            latency_all.append(metrics.latency_all)
-            latency_priority.append(metrics.latency_demand)
+        points = [next(averaged) for _ in counts]
         curves.append(
-            Fig8Curve(app, ddr, mhz, counts, utilization, latency_all, latency_priority)
+            Fig8Curve(
+                app, ddr, mhz, counts,
+                [p.utilization for p in points],
+                [p.latency_all for p in points],
+                [p.latency_demand for p in points],
+            )
         )
     return curves
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -30,34 +30,8 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(title: str, x_label: str, series: Mapping[str, Sequence[float]],
-                  x_values: Sequence[object]) -> str:
-    """Render a figure's data as one column per series (Fig. 8 style)."""
-    headers = [x_label] + list(series.keys())
-    rows: List[List[object]] = []
-    for i, x in enumerate(x_values):
-        rows.append([x] + [values[i] for values in series.values()])
-    return format_table(title, headers, rows)
-
-
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}" if abs(cell) < 10 else f"{cell:.1f}"
     return str(cell)
 
-
-def ratio_footer(
-    averages: Dict[str, Dict[str, float]], baseline: str, metrics: Sequence[str]
-) -> List[List[object]]:
-    """The paper's 'Average' and 'Ratio' footer rows.
-
-    ``averages`` maps design -> metric -> mean value; ratios are relative to
-    ``baseline`` (the paper uses the SDRAM-aware design [4])."""
-    avg_row: List[object] = ["Average"]
-    ratio_row: List[object] = ["Ratio"]
-    for design in averages:
-        for metric in metrics:
-            avg_row.append(averages[design][metric])
-            base = averages[baseline][metric]
-            ratio_row.append(averages[design][metric] / base if base else 0.0)
-    return [avg_row, ratio_row]

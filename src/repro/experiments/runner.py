@@ -10,15 +10,14 @@ run-to-run spread.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from ..core.system import build_system
 from ..sim.config import SystemConfig
-from ..sim.records import RunResult
 from ..sim.stats import RunMetrics
+from ..sweep.orchestrator import run_sweep
+from ..sweep.runners import metrics_job
+from ..sweep.store import ResultStore
 
 #: Default experiment horizon (cycles) and warmup.
 DEFAULT_CYCLES = 20_000
@@ -66,85 +65,58 @@ class AveragedMetrics:
         )
 
 
-#: When set (via :func:`cached_runs`), every :func:`run_once` consults
-#: this content-addressed store before simulating — the seam that makes
-#: a second ``repro all`` near-instant.
-_ACTIVE_STORE = None
+def run_configs(
+    configs: Sequence[SystemConfig],
+    store: Optional[ResultStore] = None,
+) -> List[RunMetrics]:
+    """Simulate ``configs``, serving stored results; metrics in order.
 
-
-@contextmanager
-def cached_runs(store):
-    """Serve :func:`run_once` from ``store`` within the block.
-
-    ``store`` is a :class:`repro.sweep.store.ResultStore`; results are
-    addressed by the same ``metrics``-job key the sweep orchestrator
-    uses, so exhibits and sweeps share one cache.  Metrics round-trip
-    through JSON exactly (Python floats are repr-round-trip stable), so
-    a cache hit is bit-identical to a fresh simulation.
+    Each configuration becomes a ``metrics`` job resolved by
+    :func:`~repro.sweep.orchestrator.run_sweep` in this process, so the
+    exhibits and ``repro sweep`` address one key space: a point either
+    path simulated is a hit for the other.  ``store=None`` uses a
+    memory-only store.  A stored *failed* record is simulated again, and
+    a run that still fails raises with the stored error.  Metrics
+    round-trip through JSON exactly, so a hit equals a fresh run.
     """
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_STORE = previous
+    jobs = [metrics_job(config) for config in configs]
+    report = run_sweep(jobs, store=store, retry_failed=True)
+    records = {outcome.job.key: outcome.record for outcome in report.outcomes}
+    metrics: List[RunMetrics] = []
+    for job in jobs:
+        record = records[job.key]
+        if record["status"] != "ok":
+            raise RuntimeError(
+                f"{job.label} failed: {record['error']}\n"
+                f"{record.get('traceback') or ''}"
+            )
+        metrics.append(RunMetrics(**record["result"]))
+    return metrics
 
 
-def active_store():
-    """The store :func:`run_once` currently consults, if any."""
-    return _ACTIVE_STORE
-
-
-def run_once(config: SystemConfig) -> RunResult:
-    """Build and simulate one configuration.
-
-    Inside a :func:`cached_runs` block, a configuration whose result is
-    already stored is served from the store without simulating; a fresh
-    result is stored on the way out.
-    """
-    store = _ACTIVE_STORE
-    if store is None:
-        system = build_system(config)
-        return RunResult(config=config, metrics=system.run())
-    # Imported lazily: repro.sweep imports this module for the
-    # experiment defaults.
-    from ..sweep.runners import metrics_job
-    from ..sweep.store import make_record
-
-    job = metrics_job(config)
-    record = store.get(job.key)
-    if record is not None and record.get("status") == "ok":
-        return RunResult(
-            config=config, metrics=RunMetrics(**record["result"])
-        )
-    started = time.perf_counter()
-    system = build_system(config)
-    metrics = system.run()
-    store.put(
-        make_record(
-            job,
-            status="ok",
-            result=asdict(metrics),
-            elapsed_s=time.perf_counter() - started,
-        )
-    )
-    return RunResult(config=config, metrics=metrics)
-
-
-def run_averaged(
-    config: SystemConfig,
+def run_seed_averaged(
+    configs: Sequence[SystemConfig],
     seeds: Iterable[int] = DEFAULT_SEEDS,
-) -> AveragedMetrics:
-    """Run ``config`` once per seed and average the headline metrics."""
-    runs: List[RunMetrics] = []
-    for seed in seeds:
-        runs.append(run_once(config.with_(seed=seed)).metrics)
-    return AveragedMetrics.from_runs(runs)
+    store: Optional[ResultStore] = None,
+) -> List[AveragedMetrics]:
+    """Each configuration run once per seed, averaged in seed order."""
+    seeds = tuple(seeds)
+    runs = run_configs(
+        [config.with_(seed=seed) for config in configs for seed in seeds],
+        store,
+    )
+    n = len(seeds)
+    return [
+        AveragedMetrics.from_runs(runs[i * n:(i + 1) * n])
+        for i in range(len(configs))
+    ]
 
 
 def experiment_config(**overrides) -> SystemConfig:
-    """A SystemConfig with the experiment-default horizon applied."""
-    overrides.setdefault("cycles", DEFAULT_CYCLES)
-    overrides.setdefault("warmup", DEFAULT_WARMUP)
+    """A SystemConfig with the experiment-default horizon applied to
+    ``cycles`` / ``warmup`` when they are absent or ``None``."""
+    if overrides.get("cycles") is None:
+        overrides["cycles"] = DEFAULT_CYCLES
+    if overrides.get("warmup") is None:
+        overrides["warmup"] = DEFAULT_WARMUP
     return SystemConfig(**overrides)

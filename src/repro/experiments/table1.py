@@ -9,9 +9,10 @@ a final ratio row normalized to [4].
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from ..sim.config import NocDesign, PAPER_CLOCK_POINTS
+from ..sweep.store import ResultStore
 from .comparison import ComparisonResult, METRICS, run_comparison
 from .report import format_table
 from .runner import DEFAULT_SEEDS
@@ -30,10 +31,12 @@ def run_table1(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    store: Optional[ResultStore] = None,
 ) -> ComparisonResult:
     """Regenerate Table I's measurements."""
     return run_comparison(
-        TABLE1_DESIGNS, priority=False, cycles=cycles, warmup=warmup, seeds=seeds
+        TABLE1_DESIGNS, priority=False, cycles=cycles, warmup=warmup,
+        seeds=seeds, store=store,
     )
 
 

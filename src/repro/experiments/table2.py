@@ -10,9 +10,10 @@ based on [4] in Table I").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from ..sim.config import NocDesign
+from ..sweep.store import ResultStore
 from .comparison import ComparisonResult, METRICS, run_comparison
 from .runner import DEFAULT_SEEDS
 from .table1 import render as _render_shared
@@ -51,14 +52,16 @@ def run_table2(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    store: Optional[ResultStore] = None,
 ) -> Table2Result:
     """Regenerate Table II's measurements."""
     comparison = run_comparison(
-        TABLE2_DESIGNS, priority=True, cycles=cycles, warmup=warmup, seeds=seeds
+        TABLE2_DESIGNS, priority=True, cycles=cycles, warmup=warmup,
+        seeds=seeds, store=store,
     )
     baseline = run_comparison(
         [NocDesign.SDRAM_AWARE], priority=False,
-        cycles=cycles, warmup=warmup, seeds=seeds,
+        cycles=cycles, warmup=warmup, seeds=seeds, store=store,
     )
     return Table2Result(
         comparison=comparison,

@@ -11,8 +11,9 @@ from typing import Dict, Iterable, Optional
 
 from ..cost.power import TABLE5_POINTS, estimate_power
 from ..sim.config import DdrGeneration, NocDesign
+from ..sweep.store import ResultStore
 from .report import format_table
-from .runner import DEFAULT_SEEDS, experiment_config, run_averaged
+from .runner import DEFAULT_SEEDS, experiment_config, run_seed_averaged
 
 #: design key in the cost model -> NocDesign for activity simulation
 DESIGN_MAP = {
@@ -29,6 +30,7 @@ def run_table5(
     with_activity: bool = False,
     cycles: Optional[int] = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    store: Optional[ResultStore] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Average power (mW) per design and operating point.
 
@@ -47,9 +49,10 @@ def run_table5(
                     clock_mhz=mhz,
                     design=design,
                     sti=design is NocDesign.GSS_SAGM,
-                    **({"cycles": cycles} if cycles else {}),
+                    cycles=cycles,
                 )
-                activity = min(1.0, run_averaged(config, seeds=seeds).raw_utilization)
+                averaged = run_seed_averaged([config], seeds, store)[0]
+                activity = min(1.0, averaged.raw_utilization)
             row[key] = estimate_power(key, app, mhz, activity=activity).milliwatts
         result[f"{app}@{mhz}MHz"] = row
     return result

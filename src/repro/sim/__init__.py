@@ -18,7 +18,6 @@ from .config import (
     paper_configs,
 )
 from .engine import Clocked, Simulator
-from .records import RunResult, TableRow, ratio_row
 from .rng import core_rng, derive_rng, derive_seed, placement_rng
 from .stats import LatencySeries, RunMetrics, StatsCollector
 
@@ -40,11 +39,8 @@ __all__ = [
     "NocDesign",
     "PAPER_CLOCK_POINTS",
     "RunMetrics",
-    "RunResult",
     "Simulator",
     "StatsCollector",
     "SystemConfig",
-    "TableRow",
     "paper_configs",
-    "ratio_row",
 ]

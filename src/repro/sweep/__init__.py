@@ -12,19 +12,7 @@ See ``docs/ARCHITECTURE.md`` (Sweep orchestration) for the job
 lifecycle, seed derivation, and cache-key composition.
 """
 
-from .grids import (
-    ARBITER_MATRIX_BACKENDS,
-    arbiter_matrix_rows,
-    arbiter_matrix_spec,
-    config_grid_spec,
-    fault_points,
-    fault_sweep_spec,
-    fig8_curves,
-    fig8_jobs,
-    run_arbiter_matrix_grid,
-    run_fault_sweep_grid,
-    run_fig8_grid,
-)
+from .grids import config_grid_spec
 from .orchestrator import (
     JobOutcome,
     ProgressPrinter,
@@ -44,11 +32,8 @@ from .spec import Job, SweepSpec, dedupe
 from .store import SCHEMA_VERSION, ResultStore, job_key, make_record
 
 __all__ = [
-    "ARBITER_MATRIX_BACKENDS",
     "JOB_RUNNERS",
     "Job",
-    "arbiter_matrix_rows",
-    "arbiter_matrix_spec",
     "JobFailure",
     "JobOutcome",
     "ProgressPrinter",
@@ -61,16 +46,9 @@ __all__ = [
     "config_payload",
     "dedupe",
     "execute_job",
-    "fault_points",
-    "fault_sweep_spec",
-    "fig8_curves",
-    "fig8_jobs",
     "job_key",
     "make_record",
     "metrics_job",
     "register_runner",
-    "run_arbiter_matrix_grid",
-    "run_fault_sweep_grid",
-    "run_fig8_grid",
     "run_sweep",
 ]

@@ -10,14 +10,13 @@ Two kinds are built in:
 
 * ``metrics`` — build one :class:`~repro.sim.config.SystemConfig` from
   a fully-resolved payload, simulate it, return the
-  :class:`~repro.sim.stats.RunMetrics` fields.  This is the kind the
-  generic ``repro sweep grid`` command and the Fig. 8 grid use, and the
-  one ``repro all`` consults for exhibit caching.
-* ``fault-point`` — one point of the fault-rate sweep, via exactly the
-  same code path as the serial
-  :func:`repro.experiments.fault_sweep.run_fault_point`, so parallel
-  sweeps are bit-identical to the serial baseline.  A point that hangs
-  (fails to drain) or leaves injected faults unaccounted raises
+  :class:`~repro.sim.stats.RunMetrics` fields.  Every simulated exhibit
+  resolves its runs as these jobs
+  (:func:`repro.experiments.runner.run_configs`), and so do
+  ``repro sweep grid`` and ``repro sweep fig8``.
+* ``fault-point`` — one point of the fault-rate sweep, simulated by
+  :func:`repro.experiments.fault_sweep.run_fault_point`.  A point that
+  hangs (fails to drain) or leaves injected faults unaccounted raises
   :class:`JobFailure` carrying the partial result, so the store records
   it as a *failed* job with the rate and drain budget in the error —
   never a silent row.
@@ -289,9 +288,9 @@ def config_from_payload(payload: Mapping[str, object]) -> SystemConfig:
 def metrics_job(config: SystemConfig, label: Optional[str] = None):
     """The ``metrics`` job for one configuration.
 
-    One seam shared by ``repro sweep`` and the ``repro all`` exhibit
-    cache: both address the store through this job's key, so a point
-    simulated by either is a hit for the other.
+    The exhibits and ``repro sweep`` both address the store through
+    this job's key, so a point simulated by either is a hit for the
+    other.
     """
     from .spec import Job  # local: spec imports store, not runners
 

@@ -97,6 +97,13 @@ class TestFig8:
         text = render_fig8(curves)
         assert "#GSS" in text
 
+    def test_router_counts_span_each_mesh(self):
+        from repro.experiments.fig8 import FIG8_POINTS, gss_router_counts
+
+        tops = {app: gss_router_counts(app)[-1] for app, _, _ in FIG8_POINTS}
+        assert tops == {"single_dtv": 9, "bluray": 9, "dual_dtv": 16}
+        assert gss_router_counts("dual_dtv", max_routers=3) == [0, 1, 2, 3]
+
     def test_knee_index_finds_threshold(self):
         from repro.experiments.fig8 import Fig8Curve
         curve = Fig8Curve(

@@ -1,6 +1,6 @@
 """Report formatting tests."""
 
-from repro.experiments.report import format_series, format_table, ratio_footer
+from repro.experiments.report import format_table
 
 
 class TestFormatTable:
@@ -30,29 +30,3 @@ class TestFormatTable:
                      for line in lines[:1]}
         assert None not in positions
 
-
-class TestFormatSeries:
-    def test_series_rendered_per_x(self):
-        text = format_series(
-            "Fig", "k", {"util": [0.1, 0.2], "lat": [100.0, 90.0]}, [0, 1]
-        )
-        assert "util" in text and "lat" in text
-        assert "0.100" in text and "90.0" in text
-
-
-class TestRatioFooter:
-    def test_ratios_vs_baseline(self):
-        averages = {
-            "conv": {"u": 0.5},
-            "gss": {"u": 0.6},
-        }
-        rows = ratio_footer(averages, baseline="conv", metrics=["u"])
-        assert rows[0][0] == "Average"
-        assert rows[1][0] == "Ratio"
-        assert rows[1][1] == 1.0
-        assert rows[1][2] == 1.2
-
-    def test_zero_baseline_safe(self):
-        averages = {"conv": {"u": 0.0}, "gss": {"u": 1.0}}
-        rows = ratio_footer(averages, baseline="conv", metrics=["u"])
-        assert rows[1][1] == 0.0

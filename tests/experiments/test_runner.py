@@ -5,11 +5,12 @@ import pytest
 from repro.experiments.runner import (
     AveragedMetrics,
     experiment_config,
-    run_averaged,
-    run_once,
+    run_configs,
+    run_seed_averaged,
 )
 from repro.sim.config import NocDesign, SystemConfig
 from repro.sim.stats import RunMetrics
+from repro.sweep import ResultStore, metrics_job, runners
 
 
 def _metrics(latency):
@@ -33,24 +34,43 @@ class TestAveraging:
 
 
 class TestRunning:
-    def test_run_once_returns_result(self):
-        config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        result = run_once(config)
-        assert result.config is config
-        assert result.metrics.completed > 0
+    CONFIG = SystemConfig(app="bluray", cycles=2_000, warmup=400)
 
-    def test_run_averaged_uses_all_seeds(self):
-        config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        averaged = run_averaged(config, seeds=(1, 2, 3))
+    def test_run_configs_returns_metrics_in_order(self):
+        configs = [self.CONFIG.with_(seed=1), self.CONFIG.with_(seed=2)]
+        first, second = run_configs(configs)
+        assert first.completed > 0
+        assert [second, first] == run_configs(configs[::-1])
+
+    def test_seed_average_uses_all_seeds(self):
+        [averaged] = run_seed_averaged([self.CONFIG], seeds=(1, 2, 3))
         assert averaged.runs == 3
 
     def test_seed_averaging_between_extremes(self):
-        config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        a = run_once(config.with_(seed=1)).metrics.latency_all
-        b = run_once(config.with_(seed=2)).metrics.latency_all
-        averaged = run_averaged(config, seeds=(1, 2))
-        low, high = sorted((a, b))
+        a, b = run_configs(
+            [self.CONFIG.with_(seed=1), self.CONFIG.with_(seed=2)]
+        )
+        [averaged] = run_seed_averaged([self.CONFIG], seeds=(1, 2))
+        low, high = sorted((a.latency_all, b.latency_all))
         assert low <= averaged.latency_all <= high
+
+    def test_stored_result_is_served_without_simulating(self):
+        store = ResultStore()
+        [fresh] = run_configs([self.CONFIG], store)
+        [cached] = run_configs([self.CONFIG], store)
+        assert (store.hits, store.misses) == (1, 1)
+        assert cached == fresh
+
+    def test_failed_run_raises_with_stored_error(self, monkeypatch):
+        def boom(config):
+            raise RuntimeError("model exploded")
+
+        monkeypatch.setattr(runners, "build_system", boom)
+        store = ResultStore()
+        with pytest.raises(RuntimeError, match="model exploded"):
+            run_configs([self.CONFIG], store)
+        record = store.get(metrics_job(self.CONFIG).key)
+        assert record["status"] == "failed"
 
 
 class TestExperimentConfig:
@@ -62,6 +82,10 @@ class TestExperimentConfig:
     def test_overrides_win(self):
         config = experiment_config(app="bluray", cycles=500, warmup=100)
         assert config.cycles == 500
+
+    def test_none_horizon_takes_defaults(self):
+        config = experiment_config(cycles=None, warmup=None)
+        assert (config.cycles, config.warmup) == (20_000, 3_000)
 
     def test_passes_through_design(self):
         config = experiment_config(design=NocDesign.GSS)

@@ -1,27 +1,23 @@
-"""Canonical grids: parallel sweeps bit-identical to the serial drivers.
+"""One exhibit path: exhibits and sweeps resolve the same jobs.
 
-The acceptance bar for the orchestrator: a sharded run must produce the
-exact FaultSweepPoint / Fig8Curve values the serial experiment code
-computes — same floats, bit for bit — and a re-run must be served
-entirely from the store.
+Every simulated exhibit resolves its runs as sweep jobs through the
+result store, so sharding those jobs over worker processes must not
+move a single float, an exhibit run into a store must leave nothing for
+the orchestrator to simulate (and the other way round), and a stored
+*failed* run must be simulated again rather than rendered.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
-from repro.experiments import cached_runs, run_once
-from repro.experiments.fault_sweep import run_fault_sweep
-from repro.experiments.fig8 import run_fig8
-from repro.experiments.runner import experiment_config
+from repro.experiments.fault_sweep import fault_sweep_spec, run_fault_sweep
+from repro.experiments.fig8 import fig8_jobs, run_fig8
 from repro.sweep import (
     ResultStore,
     config_grid_spec,
-    fault_points,
-    fault_sweep_spec,
-    metrics_job,
-    run_fault_sweep_grid,
-    run_fig8_grid,
+    make_record,
     run_sweep,
 )
 
@@ -31,33 +27,40 @@ needs_fork = pytest.mark.skipif(
 
 TINY = dict(cycles=1_500, warmup=300)
 RATES = (0.0, 1e-3)
+FIG8 = dict(cycles=1_000, warmup=200, seeds=(2010,), max_routers=1)
 
 
-@pytest.fixture(scope="module")
-def serial_points():
-    return run_fault_sweep(rates=RATES, seed=2010, **TINY)
+def _results(report):
+    return [
+        (outcome.job.key, outcome.record["status"], outcome.record["result"])
+        for outcome in report.outcomes
+    ]
+
+
+def _one_and_two_workers(jobs):
+    """The same jobs resolved in-process and over two workers."""
+    serial = run_sweep(jobs, store=ResultStore(), workers=1)
+    sharded = run_sweep(jobs, store=ResultStore(), workers=2)
+    assert sharded.executed == serial.executed == len(serial.outcomes)
+    return serial, sharded
 
 
 @needs_fork
 class TestFaultGridGolden:
-    def test_two_worker_sweep_bit_identical_to_serial(self, serial_points):
-        store = ResultStore()
-        points, report = run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
-        assert report.executed == len(RATES)
-        assert [p for _, p in points] == serial_points
+    def test_two_worker_sweep_bit_identical_to_serial(self):
+        spec = fault_sweep_spec(rates=RATES, seeds=(2010,), **TINY)
+        serial, sharded = _one_and_two_workers(spec)
+        assert _results(sharded) == _results(serial)
 
-    def test_rerun_is_all_cache_hits(self, serial_points):
+    def test_rerun_is_all_cache_hits(self):
         store = ResultStore()
-        run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
-        points, report = run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
+        points = run_fault_sweep(rates=RATES, seed=2010, store=store, **TINY)
+        spec = fault_sweep_spec(rates=RATES, seeds=(2010,), **TINY)
+        report = run_sweep(spec, store=store, workers=2)
         assert report.all_cached
-        assert [p for _, p in points] == serial_points
+        assert run_fault_sweep(
+            rates=RATES, seed=2010, store=store, **TINY
+        ) == points
 
 
 class TestFaultGrid:
@@ -74,8 +77,6 @@ class TestFaultGrid:
         real = fs.run_fault_point
 
         def hang(rate, **kwargs):
-            import dataclasses
-
             point = real(rate, **kwargs)
             if rate > 0:
                 point = dataclasses.replace(point, quiesced=False)
@@ -91,22 +92,28 @@ class TestFaultGrid:
         # the error names the rate and the exhausted drain budget
         assert "rate=0.001" in failed.record["error"]
         assert "50000-cycle drain budget" in failed.record["error"]
-        # the partial metrics are still reconstructable, not silent
-        points = fault_points(store, spec)
-        assert [p.quiesced for _, p in points] == [True, False]
+        # the exhibit renders the stored partial metrics, not a silent
+        # row, and does not simulate the hung point again
+        misses = store.misses
+        points = run_fault_sweep(rates=RATES, seed=2010, store=store, **TINY)
+        assert [p.quiesced for p in points] == [True, False]
+        assert points[1].failure_reason() is not None
+        assert store.misses == misses
 
 
 @needs_fork
 class TestFig8GridGolden:
     def test_two_worker_grid_bit_identical_to_serial(self):
-        kwargs = dict(cycles=1_000, warmup=200, seeds=(2010,), max_routers=1)
-        serial = run_fig8(**kwargs)
+        serial, sharded = _one_and_two_workers(fig8_jobs(**FIG8))
+        assert sharded.executed == 6  # 3 operating points x 2 counts
+        assert _results(sharded) == _results(serial)
+
+    def test_figure_from_sharded_store_is_all_hits(self):
         store = ResultStore()
-        curves, report = run_fig8_grid(store=store, workers=2, **kwargs)
-        assert curves == serial
-        assert report.executed == 6  # 3 operating points x 2 counts
-        again, report2 = run_fig8_grid(store=store, workers=2, **kwargs)
-        assert report2.all_cached and again == serial
+        run_sweep(fig8_jobs(**FIG8), store=store, workers=2)
+        misses = store.misses
+        assert run_fig8(store=store, **FIG8) == run_fig8(**FIG8)
+        assert store.misses == misses
 
 
 class TestConfigGrid:
@@ -132,67 +139,38 @@ class TestConfigGrid:
 
 @needs_fork
 class TestArbiterMatrixGolden:
+    """The arbiter axis of a generic grid (the CI smoke matrix)."""
+
     ARBITERS = ("engine", "dpq", "bank-reg")
 
-    def test_two_worker_matrix_bit_identical_to_serial(self):
-        from repro.sweep import run_arbiter_matrix_grid
+    def spec(self):
+        return config_grid_spec(
+            base=dict(TINY),
+            axes={"seed": [2010], "arbiter": list(self.ARBITERS)},
+        )
 
-        serial = [
-            run_once(
-                experiment_config(seed=2010, arbiter=arbiter, **TINY)
-            ).metrics
-            for arbiter in self.ARBITERS
-        ]
-        store = ResultStore()
-        rows, report = run_arbiter_matrix_grid(
-            store=store, workers=2, arbiters=self.ARBITERS,
-            seeds=(2010,), **TINY
-        )
-        assert report.executed == len(self.ARBITERS)
-        assert [name for name, _, _ in rows] == list(self.ARBITERS)
-        assert [m for _, _, m in rows] == serial
-        again, report2 = run_arbiter_matrix_grid(
-            store=store, workers=2, arbiters=self.ARBITERS,
-            seeds=(2010,), **TINY
-        )
-        assert report2.all_cached
-        assert [m for _, _, m in again] == serial
+    def test_two_worker_matrix_bit_identical_to_serial(self):
+        serial, sharded = _one_and_two_workers(self.spec())
+        assert _results(sharded) == _results(serial)
 
     def test_matrix_spec_keys_cover_the_arbiter_field(self):
-        from repro.sweep import arbiter_matrix_spec
-
-        spec = arbiter_matrix_spec(
-            arbiters=("engine", "dpq"), seeds=(2010,), **TINY
-        )
-        params = [job.params for job in spec.expand()]
-        assert [p["arbiter"] for p in params] == ["engine", "dpq"]
+        params = [job.params for job in self.spec().expand()]
+        assert [p["arbiter"] for p in params] == list(self.ARBITERS)
         assert params[0]["cycles"] == TINY["cycles"]
 
 
 class TestExhibitCache:
-    def test_run_once_serves_identical_metrics_from_store(self):
-        config = experiment_config(app="bluray", seed=2010, **TINY)
-        store = ResultStore()
-        with cached_runs(store):
-            fresh = run_once(config)
-            cached = run_once(config)
-        assert store.hits == 1
-        assert cached.metrics == fresh.metrics
-
     def test_exhibit_and_sweep_share_keys(self):
-        # A point simulated by run_once must be a hit for the sweep
-        # orchestrator (and vice versa): same job, same key.
-        config = experiment_config(app="bluray", seed=2010, **TINY)
+        # A figure run into a store leaves nothing for the orchestrator
+        # to simulate: same jobs, same keys.
         store = ResultStore()
-        with cached_runs(store):
-            run_once(config)
-        report = run_sweep([metrics_job(config)], store=store)
-        assert report.all_cached
+        run_fig8(store=store, **FIG8)
+        assert run_sweep(fig8_jobs(**FIG8), store=store).all_cached
 
-    def test_cache_scope_restored_on_exit(self):
-        from repro.experiments import active_store
-
+    def test_stored_failed_record_is_resimulated(self):
         store = ResultStore()
-        with cached_runs(store):
-            assert active_store() is store
-        assert active_store() is None
+        job = fig8_jobs(**dict(FIG8, max_routers=0))[0]
+        store.put(make_record(job, "failed", None, error="worker died"))
+        curves = run_fig8(store=store, **dict(FIG8, max_routers=0))
+        assert store.get(job.key)["status"] == "ok"
+        assert curves == run_fig8(**dict(FIG8, max_routers=0))
